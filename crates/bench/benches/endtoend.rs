@@ -1,6 +1,6 @@
 //! End-to-end single-query latency through the full stack (broker →
 //! servers → per-segment plans) for each engine/index configuration, plus
-//! ablations: predicate reordering benefit, star-tree leaf-size sweep.
+//! one ablation: the star-tree leaf-size sweep.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use pinot_bench::setup::{anomaly_setup, wvmp_setup};
@@ -97,74 +97,9 @@ fn bench_startree_leaf_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation: §4.2's cost-ordered predicate evaluation (sorted column first,
-/// scans restricted to the running selection) vs naive left-to-right
-/// evaluation with full materialization.
-fn bench_predicate_reordering(c: &mut Criterion) {
-    use pinot_common::query::ExecutionStats;
-    use pinot_common::{DataType, FieldSpec, Record, Schema, Value};
-    use pinot_exec::planner::evaluate_filter_with_ordering;
-    use pinot_segment::builder::{BuilderConfig, SegmentBuilder};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let schema = Schema::new(
-        "t",
-        vec![
-            FieldSpec::dimension("sorted_key", DataType::Long),
-            FieldSpec::dimension("facet", DataType::String),
-            FieldSpec::metric("m", DataType::Long),
-        ],
-    )
-    .unwrap();
-    let mut rng = StdRng::seed_from_u64(77);
-    let mut b = SegmentBuilder::new(
-        schema,
-        BuilderConfig::new("s", "t").with_sort_columns(&["sorted_key"]),
-    )
-    .unwrap();
-    for _ in 0..200_000 {
-        b.add(Record::new(vec![
-            Value::Long(rng.gen_range(0..2_000)),
-            Value::String(format!("f{}", rng.gen_range(0..100))),
-            Value::Long(rng.gen_range(0..1_000)),
-        ]))
-        .unwrap();
-    }
-    let seg = b.build().unwrap();
-    // A selective sorted predicate plus an expensive scan predicate: the
-    // ordering rule evaluates the scan only inside the sorted range.
-    let pred = pinot_pql::parse(
-        "SELECT COUNT(*) FROM t WHERE m > 500 AND facet = 'f7' AND sorted_key = 42",
-    )
-    .unwrap()
-    .filter
-    .unwrap();
-
-    let mut group = c.benchmark_group("ablation/predicate_reordering");
-    group.bench_function("cost_ordered", |bench| {
-        bench.iter(|| {
-            let mut stats = ExecutionStats::default();
-            evaluate_filter_with_ordering(black_box(&seg), Some(&pred), &mut stats, true)
-                .unwrap()
-                .count()
-        })
-    });
-    group.bench_function("naive_order", |bench| {
-        bench.iter(|| {
-            let mut stats = ExecutionStats::default();
-            evaluate_filter_with_ordering(black_box(&seg), Some(&pred), &mut stats, false)
-                .unwrap()
-                .count()
-        })
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_anomaly_engines, bench_wvmp_engines, bench_startree_leaf_sweep,
-        bench_predicate_reordering
+    targets = bench_anomaly_engines, bench_wvmp_engines, bench_startree_leaf_sweep
 }
 criterion_main!(benches);

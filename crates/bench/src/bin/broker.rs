@@ -85,10 +85,9 @@ fn percentile(samples: &mut [f64], q: f64) -> f64 {
 /// Phase 1: zipfian closed-loop mix against the result cache.
 /// Returns (throughput qps, p50 µs, p99 µs, hit ratio, counters json).
 fn cache_phase() -> (f64, f64, f64, f64, String) {
-    let mut config = ClusterConfig::default()
-        .with_servers(1)
-        .with_taskpool_threads(4)
-        .with_result_cache(true);
+    let mut config = ClusterConfig::default().with_servers(1);
+    config.engine.taskpool_threads = 4;
+    config.engine.result_cache = true;
     config.num_controllers = 1;
     let cluster = Arc::new(PinotCluster::start(config).unwrap());
     cluster
@@ -161,10 +160,9 @@ fn cache_phase() -> (f64, f64, f64, f64, String) {
 /// Returns (p99_on µs, p99_off µs, hedge counters json).
 fn hedge_phase() -> (f64, f64, String) {
     let build = |hedge: bool| {
-        let mut config = ClusterConfig::default()
-            .with_servers(3)
-            .with_taskpool_threads(16)
-            .with_exec_hedge(hedge);
+        let mut config = ClusterConfig::default().with_servers(3);
+        config.engine.taskpool_threads = 16;
+        config.engine.hedge = hedge;
         config.num_controllers = 1;
         let cluster = PinotCluster::start(config).unwrap();
         cluster

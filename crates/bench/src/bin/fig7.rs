@@ -24,14 +24,9 @@ use std::sync::Arc;
 const SEGMENTS: usize = 16;
 
 fn build(threads: usize, rows: &[pinot_common::Record]) -> Arc<PinotCluster> {
-    let cluster = Arc::new(
-        PinotCluster::start(
-            ClusterConfig::default()
-                .with_servers(1)
-                .with_taskpool_threads(threads),
-        )
-        .expect("cluster"),
-    );
+    let mut config = ClusterConfig::default().with_servers(1);
+    config.engine.taskpool_threads = threads;
+    let cluster = Arc::new(PinotCluster::start(config).expect("cluster"));
     cluster
         .create_table(
             TableConfig::offline(wvmp::TABLE).with_sorted_column("viewee_id"),

@@ -13,9 +13,9 @@
 //! Results print as TSV and persist to `BENCH_kernels.json` at the repo
 //! root so the perf trajectory is tracked across PRs.
 
-use pinot_common::{DataType, FieldSpec, Record, Schema, Value};
+use pinot_common::{DataType, EngineConfig, FieldSpec, Record, Schema, Value};
 use pinot_exec::segment_exec::{execute_on_segment_with, SegmentHandle};
-use pinot_exec::{evaluate_filter_mode, ExecOptions};
+use pinot_exec::{evaluate_filter_planned, ExecOptions, PlannerMode};
 use pinot_pql::parse;
 use pinot_segment::bitpack::{PackedIntVec, BLOCK};
 use pinot_segment::builder::{BuilderConfig, SegmentBuilder};
@@ -106,8 +106,14 @@ fn bench_filter_scan(handle: &SegmentHandle, results: &mut Vec<(String, f64, f64
     let mut run = |batch: bool| {
         best_ns(5, || {
             let mut stats = Default::default();
-            let sel =
-                evaluate_filter_mode(&handle.segment, Some(&pred), &mut stats, batch).unwrap();
+            let sel = evaluate_filter_planned(
+                &handle.segment,
+                Some(&pred),
+                &mut stats,
+                PlannerMode::Auto,
+                batch,
+            )
+            .unwrap();
             count = sel.count();
         })
     };
@@ -134,7 +140,10 @@ fn bench_query(
     let query = parse(pql).unwrap();
     let run = |batch: bool| {
         let opts = ExecOptions {
-            batch: Some(batch),
+            config: Arc::new(EngineConfig {
+                batch,
+                ..EngineConfig::default()
+            }),
             ..ExecOptions::default()
         };
         best_ns(5, || {

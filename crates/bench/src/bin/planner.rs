@@ -63,10 +63,9 @@ fn gen_rows() -> Vec<Record> {
 }
 
 fn start_cluster(rows: &[Record], mode: PlannerMode) -> PinotCluster {
-    let mut config = ClusterConfig::default()
-        .with_servers(1)
-        .with_taskpool_threads(2)
-        .with_exec_planner(mode);
+    let mut config = ClusterConfig::default().with_servers(1);
+    config.engine.taskpool_threads = 2;
+    config.engine.planner = mode;
     config.num_controllers = 1;
     let cluster = PinotCluster::start(config).unwrap();
     cluster

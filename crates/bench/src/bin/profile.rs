@@ -59,12 +59,9 @@ fn main() {
     let rows = gen.rows(num_rows, &mut rng);
     let queries = gen.queries(num_queries, &mut rng);
 
-    let cluster = PinotCluster::start(
-        ClusterConfig::default()
-            .with_servers(1)
-            .with_taskpool_threads(threads),
-    )
-    .expect("cluster");
+    let mut config = ClusterConfig::default().with_servers(1);
+    config.engine.taskpool_threads = threads;
+    let cluster = PinotCluster::start(config).expect("cluster");
     cluster
         .create_table(
             TableConfig::offline(wvmp::TABLE).with_sorted_column("viewee_id"),

@@ -51,10 +51,9 @@ fn day_rows(day: i64, rng: &mut StdRng) -> Vec<Record> {
 }
 
 fn start_cluster(prune: bool) -> PinotCluster {
-    let mut config = ClusterConfig::default()
-        .with_servers(3)
-        .with_taskpool_threads(2)
-        .with_exec_prune(prune);
+    let mut config = ClusterConfig::default().with_servers(3);
+    config.engine.taskpool_threads = 2;
+    config.engine.prune = prune;
     config.num_controllers = 1;
     let cluster = PinotCluster::start(config).unwrap();
     cluster

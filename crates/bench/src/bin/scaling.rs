@@ -41,14 +41,9 @@ const TARGET_SPEEDUP: f64 = 2.5;
 const PASSES: usize = 5;
 
 fn wvmp_cluster(threads: usize, rows: &[Record]) -> Arc<PinotCluster> {
-    let cluster = Arc::new(
-        PinotCluster::start(
-            ClusterConfig::default()
-                .with_servers(1)
-                .with_taskpool_threads(threads),
-        )
-        .expect("cluster"),
-    );
+    let mut config = ClusterConfig::default().with_servers(1);
+    config.engine.taskpool_threads = threads;
+    let cluster = Arc::new(PinotCluster::start(config).expect("cluster"));
     cluster
         .create_table(
             TableConfig::offline(wvmp::TABLE).with_sorted_column("viewee_id"),
@@ -77,17 +72,12 @@ fn big_schema() -> Schema {
 }
 
 fn big_cluster(threads: usize, rows: Vec<Record>) -> Arc<PinotCluster> {
-    let cluster = Arc::new(
-        PinotCluster::start(
-            ClusterConfig::default()
-                .with_servers(1)
-                .with_taskpool_threads(threads)
-                // Force the morsel plane on: the point is to measure it.
-                .with_fanout_threshold_ns(1)
-                .with_morsel_docs(MORSEL_DOCS),
-        )
-        .expect("cluster"),
-    );
+    let mut config = ClusterConfig::default().with_servers(1);
+    config.engine.taskpool_threads = threads;
+    // Force the morsel plane on: the point is to measure it.
+    config.engine.fanout_threshold_ns = 1;
+    config.engine.morsel_docs = MORSEL_DOCS;
+    let cluster = Arc::new(PinotCluster::start(config).expect("cluster"));
     cluster
         .create_table(TableConfig::offline(BIG_TABLE), big_schema())
         .expect("table");

@@ -24,11 +24,11 @@ use pinot_common::json::Json;
 use pinot_common::profile::{ProfileNode, QueryProfile};
 use pinot_common::query::ServerContribution;
 use pinot_common::query::{ExecutionStats, QueryRequest, QueryResponse};
-use pinot_common::{DataType, PinotError, Result, RetryPolicy, Value};
+use pinot_common::{DataType, EngineConfig, PinotError, Result, RetryPolicy, Value};
 use pinot_exec::segment_exec::IntermediateResult;
 use pinot_exec::{
-    collected_profiles, finalize, merge_intermediate, prune_default, ColumnRange, Prunable,
-    PruneEvaluator, ZoneMapStats,
+    collected_profiles, finalize, merge_intermediate, ColumnRange, Prunable, PruneEvaluator,
+    ZoneMapStats,
 };
 use pinot_obs::{LatencyDigest, Obs, QueryLogEntry, QueryTrace};
 use pinot_pql::{CmpOp, Predicate, Query};
@@ -141,10 +141,10 @@ pub struct Broker {
     /// a worker outliving the scatter deadline sends into a disconnected
     /// channel, and a panicking server surfaces as a retriable error
     /// instead of a forever-pending slot.
-    pool: RwLock<Arc<TaskPool>>,
-    /// Broker-side zone-map pruning override; `None` defers to
-    /// `PINOT_EXEC_PRUNE` (default on).
-    exec_prune: RwLock<Option<bool>>,
+    pool: Arc<TaskPool>,
+    /// The cluster's engine configuration, resolved once at boot; the
+    /// broker reads `prune`, `hedge`, `admission` and `result_cache`.
+    config: Arc<EngineConfig>,
     /// Segment zone maps parsed from metastore metadata, keyed by path and
     /// invalidated by metastore version (segment metadata is written once
     /// but re-uploads bump the version).
@@ -161,19 +161,10 @@ pub struct Broker {
     /// Per-server streaming latency estimates (observed scatter-reply wall
     /// clock) feeding the hedged-scatter delay.
     latency: LatencyDigest,
-    /// Hedged-scatter override; `None` defers to `PINOT_EXEC_HEDGE`
-    /// (default on).
-    exec_hedge: RwLock<Option<bool>>,
     /// Minimum hedge delay in ms — hedging never fires earlier than this
     /// even when the healthy p99 estimate is tiny.
     hedge_floor_ms: std::sync::atomic::AtomicU64,
-    /// Admission-control override; `None` defers to `PINOT_EXEC_ADMISSION`
-    /// (default on, with limits generous enough to never shed untuned).
-    exec_admission: RwLock<Option<bool>>,
     admission: Arc<AdmissionController>,
-    /// Result-cache override; `None` defers to `PINOT_EXEC_RESULT_CACHE`
-    /// (default off).
-    exec_cache: RwLock<Option<bool>>,
     cache: Arc<ResultCache>,
     /// Per-physical-table generation counters bumped on every external
     /// view change (segment commit/upload, server death) by the same
@@ -233,11 +224,17 @@ impl BrokerSkips {
 
 impl Broker {
     pub fn new(n: usize, cluster: ClusterManager) -> Arc<Broker> {
-        Broker::with_obs(n, cluster, Obs::shared())
+        Broker::with_obs(n, cluster, Obs::shared(), Arc::default())
     }
 
-    /// Like [`Broker::new`] but sharing a cluster-wide observability sink.
-    pub fn with_obs(n: usize, cluster: ClusterManager, obs: Arc<Obs>) -> Arc<Broker> {
+    /// Like [`Broker::new`] but sharing a cluster-wide observability sink
+    /// and engine configuration.
+    pub fn with_obs(
+        n: usize,
+        cluster: ClusterManager,
+        obs: Arc<Obs>,
+        config: Arc<EngineConfig>,
+    ) -> Arc<Broker> {
         let dirty: Arc<Mutex<HashSet<String>>> = Arc::new(Mutex::new(HashSet::new()));
         let cache_gens: Arc<Mutex<HashMap<String, u64>>> = Arc::new(Mutex::new(HashMap::new()));
         let dirty_sub = Arc::clone(&dirty);
@@ -254,20 +251,20 @@ impl Broker {
             config_cache: Mutex::new(HashMap::new()),
             dirty,
             rng: Mutex::new(StdRng::seed_from_u64(0x9e3779b97f4a7c15 ^ n as u64)),
-            pool: RwLock::new(Arc::new(TaskPool::from_env(Some(Arc::clone(&obs))))),
+            pool: Arc::new(TaskPool::with_threads(
+                config.taskpool_threads,
+                Some(Arc::clone(&obs)),
+            )),
+            config,
             obs,
             retry: RetryPolicy::default().with_seed(n as u64),
-            exec_prune: RwLock::new(None),
             zonemap_cache: Mutex::new(HashMap::new()),
             time_column_cache: Mutex::new(HashMap::new()),
             query_seq: std::sync::atomic::AtomicU64::new(0),
             query_seed: 0x9e3779b97f4a7c15 ^ (n as u64).rotate_left(32),
             latency: LatencyDigest::new(HEDGE_LATENCY_WINDOW, HEDGE_MIN_SAMPLES),
-            exec_hedge: RwLock::new(None),
             hedge_floor_ms: std::sync::atomic::AtomicU64::new(HEDGE_FLOOR_MS_DEFAULT),
-            exec_admission: RwLock::new(None),
             admission: Arc::new(AdmissionController::default()),
-            exec_cache: RwLock::new(None),
             cache: Arc::new(ResultCache::new()),
             cache_gens,
         })
@@ -288,27 +285,11 @@ impl Broker {
         (z ^ (z >> 31)).max(1)
     }
 
-    /// Override broker-side zone-map pruning (`None` = `PINOT_EXEC_PRUNE`).
-    pub fn set_exec_prune(&self, prune: Option<bool>) {
-        *self.exec_prune.write() = prune;
-    }
-
-    /// Override hedged scatter (`None` = `PINOT_EXEC_HEDGE`, default on).
-    pub fn set_exec_hedge(&self, hedge: Option<bool>) {
-        *self.exec_hedge.write() = hedge;
-    }
-
     /// Floor on the hedge delay in milliseconds (default 5). Tests lower
     /// it to make hedging fire fast under the seeded clock.
     pub fn set_hedge_floor_ms(&self, ms: u64) {
         self.hedge_floor_ms
             .store(ms.max(1), std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Override admission control (`None` = `PINOT_EXEC_ADMISSION`,
-    /// default on).
-    pub fn set_admission(&self, admission: Option<bool>) {
-        *self.exec_admission.write() = admission;
     }
 
     /// Tighten or relax the per-tenant concurrency / wait-queue limits.
@@ -321,19 +302,8 @@ impl Broker {
         self.admission.set_weight(tenant, weight);
     }
 
-    /// Override the result cache (`None` = `PINOT_EXEC_RESULT_CACHE`,
-    /// default off).
-    pub fn set_result_cache(&self, cache: Option<bool>) {
-        *self.exec_cache.write() = cache;
-    }
-
-    /// Replace the scatter pool (tests and benchmarks pin thread counts).
-    pub fn set_task_pool(&self, pool: Arc<TaskPool>) {
-        *self.pool.write() = pool;
-    }
-
     pub fn task_pool(&self) -> Arc<TaskPool> {
-        Arc::clone(&self.pool.read())
+        Arc::clone(&self.pool)
     }
 
     pub fn id(&self) -> &InstanceId {
@@ -483,8 +453,8 @@ impl Broker {
         // Result cache: only pure-offline resolutions are cacheable — a
         // consuming realtime segment grows without any view change, so a
         // cached realtime answer would silently go stale between commits.
-        let cache_on = (*self.exec_cache.read()).unwrap_or_else(survival::result_cache_default);
-        let cacheable = cache_on && physical.iter().all(|t| !t.ends_with("_REALTIME"));
+        let cacheable =
+            self.config.result_cache && physical.iter().all(|t| !t.ends_with("_REALTIME"));
         if !cacheable {
             return self.execute_admitted(&physical, &query, &tenant, ctx, deadline, trace);
         }
@@ -569,9 +539,7 @@ impl Broker {
         deadline: Instant,
         trace: &mut QueryTrace,
     ) -> Result<QueryResponse> {
-        let admission_on =
-            (*self.exec_admission.read()).unwrap_or_else(survival::admission_default);
-        let _permit = if admission_on {
+        let _permit = if self.config.admission {
             let permit = self
                 .admission
                 .admit(tenant, deadline, || {
@@ -704,8 +672,7 @@ impl Broker {
                     .unwrap_or(0);
             }
         }
-        let prune_on = (*self.exec_prune.read()).unwrap_or_else(prune_default);
-        let plan = if prune_on {
+        let plan = if self.config.prune {
             self.prune_plan(table, query, plan, &mut skips)
         } else {
             plan
@@ -852,7 +819,7 @@ impl Broker {
                 let tx = tx.clone();
                 let server_id = server.clone();
                 let task_deadline = pinot_taskpool::Deadline::at(Some(deadline));
-                self.task_pool()
+                self.pool
                     .spawn_detached_with_deadline(&task_deadline, move || {
                         let result = guarded_execute(&*svc, &req);
                         // Past the scatter deadline the receiver is gone and
@@ -870,8 +837,7 @@ impl Broker {
         // When hedging can fire we keep one sender until hedges are issued
         // (they need it); without it the channel disconnects as soon as all
         // primaries finish, exactly as before hedging existed.
-        let hedge_on = (*self.exec_hedge.read()).unwrap_or_else(survival::hedge_default);
-        let hedge_at: Option<Instant> = if hedge_on && !pending.is_empty() {
+        let hedge_at: Option<Instant> = if self.config.hedge && !pending.is_empty() {
             self.latency.healthy_quantile(0.99).map(|p99| {
                 let floor = self
                     .hedge_floor_ms
@@ -939,9 +905,8 @@ impl Broker {
                             let tx = htx.clone();
                             let origin = origin.clone();
                             let segments = slice.segments.clone();
-                            self.task_pool().spawn_detached_with_deadline(
-                                &task_deadline,
-                                move || {
+                            self.pool
+                                .spawn_detached_with_deadline(&task_deadline, move || {
                                     let result = guarded_execute(&*svc, &req);
                                     let _ = tx.send(ScatterReply {
                                         origin,
@@ -949,8 +914,7 @@ impl Broker {
                                         segments,
                                         result,
                                     });
-                                },
-                            );
+                                });
                         }
                         hedge_tx = None;
                     }

@@ -22,29 +22,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
-// Env knob defaults
-// ---------------------------------------------------------------------------
-
-/// `PINOT_EXEC_HEDGE` — hedged scatter, on unless `=0`.
-pub fn hedge_default() -> bool {
-    std::env::var("PINOT_EXEC_HEDGE").map_or(true, |v| v != "0")
-}
-
-/// `PINOT_EXEC_ADMISSION` — broker admission control, on unless `=0`.
-/// Default limits are generous (64 per tenant, 128 queued) so nothing
-/// sheds until an operator tightens them.
-pub fn admission_default() -> bool {
-    std::env::var("PINOT_EXEC_ADMISSION").map_or(true, |v| v != "0")
-}
-
-/// `PINOT_EXEC_RESULT_CACHE` — broker result cache, off unless `=1`.
-/// Off by default because cached replays change observable scan counters
-/// for workloads that repeat queries (benches do, deliberately).
-pub fn result_cache_default() -> bool {
-    std::env::var("PINOT_EXEC_RESULT_CACHE").is_ok_and(|v| v == "1")
-}
-
-// ---------------------------------------------------------------------------
 // Admission control
 // ---------------------------------------------------------------------------
 
@@ -574,20 +551,5 @@ mod tests {
             .sum();
         assert!(total <= CACHE_SHARDS * CACHE_PER_SHARD);
         assert!(total > 0);
-    }
-
-    #[test]
-    fn env_knob_defaults() {
-        // Guard: these read the live environment, so only assert the
-        // unset-variable behavior when the variables really are unset.
-        if std::env::var("PINOT_EXEC_HEDGE").is_err() {
-            assert!(hedge_default());
-        }
-        if std::env::var("PINOT_EXEC_ADMISSION").is_err() {
-            assert!(admission_default());
-        }
-        if std::env::var("PINOT_EXEC_RESULT_CACHE").is_err() {
-            assert!(!result_cache_default());
-        }
     }
 }

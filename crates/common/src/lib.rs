@@ -10,6 +10,7 @@
 //! helpers, which keeps the dependency graph of the workspace a clean DAG.
 
 pub mod config;
+pub mod engine;
 pub mod error;
 pub mod ids;
 pub mod json;
@@ -23,6 +24,7 @@ pub mod schema;
 pub mod time;
 pub mod value;
 
+pub use engine::{EngineConfig, PlannerMode};
 pub use error::{PinotError, Result};
 pub use record::Record;
 pub use retry::RetryPolicy;

@@ -34,7 +34,7 @@ use pinot_common::config::TableConfig;
 use pinot_common::ids::{InstanceId, SegmentName, TableType};
 use pinot_common::query::{QueryRequest, QueryResponse};
 use pinot_common::time::Clock;
-use pinot_common::{PinotError, Record, Result, Schema, Value};
+use pinot_common::{EngineConfig, PinotError, Record, Result, Schema, Value};
 use pinot_controller::{Controller, ControllerGroup};
 use pinot_exec::segment_exec::IntermediateResult;
 use pinot_metastore::MetaStore;
@@ -79,66 +79,23 @@ pub struct ClusterConfig {
     /// installs a fresh, empty injector — still reachable via
     /// [`PinotCluster::chaos`] so tests can arm faults after boot.
     pub chaos: Option<Arc<FaultInjector>>,
-    /// Pin every server and broker task pool to this many worker threads.
-    /// `None` keeps the `PINOT_TASKPOOL_THREADS` / `available_parallelism`
-    /// default. `Some(1)` gives deterministic sequential execution.
-    pub taskpool_threads: Option<usize>,
-    /// Force the batched (`Some(true)`) or row-at-a-time (`Some(false)`)
-    /// execution kernels on every server; `None` keeps the
-    /// `PINOT_EXEC_BATCH` env default (batched unless set to `0`).
-    pub exec_batch: Option<bool>,
-    /// Force zone-map/bloom pruning on (`Some(true)`) or off
-    /// (`Some(false)`) on every broker and server; `None` keeps the
-    /// `PINOT_EXEC_PRUNE` env default (on unless set to `0`).
-    pub exec_prune: Option<bool>,
-    /// Force hedged scatter on/off on every broker; `None` keeps the
-    /// `PINOT_EXEC_HEDGE` env default (on unless set to `0`).
-    pub exec_hedge: Option<bool>,
-    /// Force broker admission control on/off; `None` keeps the
-    /// `PINOT_EXEC_ADMISSION` env default (on unless set to `0`).
-    pub exec_admission: Option<bool>,
-    /// Force the broker result cache on/off; `None` keeps the
-    /// `PINOT_EXEC_RESULT_CACHE` env default (off unless set to `1`).
-    pub result_cache: Option<bool>,
-    /// Morsel size (docs) for every server's intra-segment splitting;
-    /// rounded to the 1024-doc decode-block grid. `None` keeps the
-    /// `PINOT_EXEC_MORSEL_DOCS` env default (64 blocks). The split is a
-    /// pure function of data + this knob, so it changes result bytes
-    /// only through the deterministic partition — tests shrink it to
-    /// exercise multi-morsel merging on small corpora.
-    pub morsel_docs: Option<usize>,
-    /// Fan-out threshold (estimated ns of scan work) for every server;
-    /// `None` keeps the `PINOT_EXEC_FANOUT_NS` env default (~2ms).
-    /// `Some(0)` forces every request onto the pool; a huge value forces
-    /// everything inline. Scheduling-only: never changes result bytes.
-    pub fanout_threshold_ns: Option<u64>,
-    /// Access-path strategy for filter leaves on every server: `auto`
-    /// chooses per leaf from segment statistics, the forced modes pin
-    /// one path where its structure exists. `None` keeps the
-    /// `PINOT_EXEC_PLANNER` env default (auto). Every mode yields
-    /// byte-identical results — the strategy-matrix differential suite
-    /// asserts exactly that.
-    pub exec_planner: Option<pinot_exec::PlannerMode>,
-    /// Force the columnar realtime path on (`Some(true)`) or fall back to
-    /// the legacy snapshot-rebuild path (`Some(false)`) on every server;
-    /// `None` keeps the `PINOT_REALTIME_COLUMNAR` env default (on unless
-    /// set to `0`). Both paths return byte-identical results — the
-    /// fallback exists as the bench baseline and an escape hatch.
-    pub realtime_columnar: Option<bool>,
-    /// Advance all consuming partitions concurrently as taskpool tasks
-    /// (`Some(true)`) or one at a time (`Some(false)`); `None` keeps the
-    /// `PINOT_INGEST_PARALLEL` env default (on unless set to `0`).
-    /// Per-partition ordering is preserved either way.
-    pub ingest_parallel: Option<bool>,
-    /// Backpressure limit: when the rows buffered across a server's
-    /// consuming segments reach this bound, fetching pauses (sealing
-    /// still runs, so the backlog drains). `None` keeps the
-    /// `PINOT_INGEST_MAX_BUFFERED_ROWS` env default (4,000,000).
-    pub ingest_max_buffered_rows: Option<usize>,
+    /// The engine's knobs, shared by every broker and server of the
+    /// cluster. [`ClusterConfig::default`] resolves them from the `PINOT_*`
+    /// environment ([`EngineConfig::from_env`]); assign fields to override
+    /// — an assignment wins over the environment.
+    pub engine: EngineConfig,
+    /// A malformed `PINOT_*` value met by [`ClusterConfig::default`].
+    /// [`PinotCluster::start`] returns it, so a cluster never boots on a
+    /// guessed knob.
+    pub env_error: Option<PinotError>,
 }
 
 impl Default for ClusterConfig {
     fn default() -> Self {
+        let (engine, env_error) = match EngineConfig::from_env() {
+            Ok(engine) => (engine, None),
+            Err(e) => (EngineConfig::default(), Some(e)),
+        };
         ClusterConfig {
             num_controllers: 3,
             num_brokers: 1,
@@ -147,18 +104,8 @@ impl Default for ClusterConfig {
             clock: Clock::system(),
             objstore: None,
             chaos: None,
-            taskpool_threads: None,
-            exec_batch: None,
-            exec_prune: None,
-            exec_hedge: None,
-            exec_admission: None,
-            result_cache: None,
-            morsel_docs: None,
-            fanout_threshold_ns: None,
-            exec_planner: None,
-            realtime_columnar: None,
-            ingest_parallel: None,
-            ingest_max_buffered_rows: None,
+            engine,
+            env_error,
         }
     }
 }
@@ -181,66 +128,6 @@ impl ClusterConfig {
 
     pub fn with_chaos(mut self, chaos: Arc<FaultInjector>) -> ClusterConfig {
         self.chaos = Some(chaos);
-        self
-    }
-
-    pub fn with_taskpool_threads(mut self, n: usize) -> ClusterConfig {
-        self.taskpool_threads = Some(n);
-        self
-    }
-
-    pub fn with_exec_batch(mut self, batch: bool) -> ClusterConfig {
-        self.exec_batch = Some(batch);
-        self
-    }
-
-    pub fn with_exec_prune(mut self, prune: bool) -> ClusterConfig {
-        self.exec_prune = Some(prune);
-        self
-    }
-
-    pub fn with_exec_hedge(mut self, hedge: bool) -> ClusterConfig {
-        self.exec_hedge = Some(hedge);
-        self
-    }
-
-    pub fn with_admission(mut self, admission: bool) -> ClusterConfig {
-        self.exec_admission = Some(admission);
-        self
-    }
-
-    pub fn with_result_cache(mut self, cache: bool) -> ClusterConfig {
-        self.result_cache = Some(cache);
-        self
-    }
-
-    pub fn with_morsel_docs(mut self, docs: usize) -> ClusterConfig {
-        self.morsel_docs = Some(docs);
-        self
-    }
-
-    pub fn with_fanout_threshold_ns(mut self, ns: u64) -> ClusterConfig {
-        self.fanout_threshold_ns = Some(ns);
-        self
-    }
-
-    pub fn with_exec_planner(mut self, mode: pinot_exec::PlannerMode) -> ClusterConfig {
-        self.exec_planner = Some(mode);
-        self
-    }
-
-    pub fn with_realtime_columnar(mut self, columnar: bool) -> ClusterConfig {
-        self.realtime_columnar = Some(columnar);
-        self
-    }
-
-    pub fn with_ingest_parallel(mut self, parallel: bool) -> ClusterConfig {
-        self.ingest_parallel = Some(parallel);
-        self
-    }
-
-    pub fn with_ingest_max_buffered_rows(mut self, rows: usize) -> ClusterConfig {
-        self.ingest_max_buffered_rows = Some(rows);
         self
     }
 }
@@ -304,6 +191,9 @@ impl PinotCluster {
     /// Boot a cluster: substrates, controllers (leader elected), servers
     /// (registered as participants), brokers (wired to every server).
     pub fn start(config: ClusterConfig) -> Result<PinotCluster> {
+        if let Some(e) = config.env_error {
+            return Err(e);
+        }
         if config.num_controllers == 0 || config.num_brokers == 0 || config.num_servers == 0 {
             return Err(PinotError::Cluster(
                 "cluster needs at least one controller, broker and server".into(),
@@ -342,6 +232,7 @@ impl PinotCluster {
             .leader()
             .ok_or_else(|| PinotError::Cluster("failed to elect a controller".into()))?;
 
+        let engine = Arc::new(config.engine);
         let mut servers = Vec::with_capacity(config.num_servers);
         for n in 1..=config.num_servers {
             let server = Server::with_obs(
@@ -351,39 +242,17 @@ impl PinotCluster {
                 streams.clone(),
                 config.clock.clone(),
                 Arc::clone(&obs),
+                Arc::clone(&engine),
             );
             server.set_fault_injector(Arc::clone(&chaos));
-            server.set_exec_batch(config.exec_batch);
-            server.set_exec_prune(config.exec_prune);
-            server.set_morsel_docs(config.morsel_docs);
-            server.set_fanout_threshold_ns(config.fanout_threshold_ns);
-            server.set_exec_planner(config.exec_planner);
-            server.set_realtime_columnar(config.realtime_columnar);
-            server.set_ingest_parallel(config.ingest_parallel);
-            server.set_ingest_max_buffered_rows(config.ingest_max_buffered_rows);
-            if let Some(threads) = config.taskpool_threads {
-                server.set_task_pool(Arc::new(pinot_taskpool::TaskPool::with_threads(
-                    threads,
-                    Some(Arc::clone(&obs)),
-                )));
-            }
             cluster.register_participant(server.clone());
             servers.push(server);
         }
 
         let mut brokers = Vec::with_capacity(config.num_brokers);
         for n in 1..=config.num_brokers {
-            let broker = Broker::with_obs(n, cluster.clone(), Arc::clone(&obs));
-            broker.set_exec_prune(config.exec_prune);
-            broker.set_exec_hedge(config.exec_hedge);
-            broker.set_admission(config.exec_admission);
-            broker.set_result_cache(config.result_cache);
-            if let Some(threads) = config.taskpool_threads {
-                broker.set_task_pool(Arc::new(pinot_taskpool::TaskPool::with_threads(
-                    threads,
-                    Some(Arc::clone(&obs)),
-                )));
-            }
+            let broker =
+                Broker::with_obs(n, cluster.clone(), Arc::clone(&obs), Arc::clone(&engine));
             for server in &servers {
                 broker.register_server(
                     server.id().clone(),

@@ -347,12 +347,9 @@ fn delay_fault_slows_but_does_not_fail() {
 /// retriable error, and failover still recovers a complete response.
 #[test]
 fn flaky_fault_under_parallel_pool_still_fails_over() {
-    let cluster = PinotCluster::start(
-        ClusterConfig::default()
-            .with_servers(2)
-            .with_taskpool_threads(4),
-    )
-    .unwrap();
+    let mut config = ClusterConfig::default().with_servers(2);
+    config.engine.taskpool_threads = 4;
+    let cluster = PinotCluster::start(config).unwrap();
     cluster
         .create_table(TableConfig::offline("views").with_replication(2), schema())
         .unwrap();
@@ -385,12 +382,9 @@ fn flaky_fault_under_parallel_pool_still_fails_over() {
 /// table is absorbed without going partial.
 #[test]
 fn delay_fault_under_parallel_pool_does_not_fail() {
-    let cluster = PinotCluster::start(
-        ClusterConfig::default()
-            .with_servers(2)
-            .with_taskpool_threads(4),
-    )
-    .unwrap();
+    let mut config = ClusterConfig::default().with_servers(2);
+    config.engine.taskpool_threads = 4;
+    let cluster = PinotCluster::start(config).unwrap();
     cluster
         .create_table(TableConfig::offline("views").with_replication(2), schema())
         .unwrap();
@@ -417,13 +411,10 @@ fn deadline_expiry_cancels_queued_segment_tasks() {
     // Threshold 0 pins the fan-out gate open: this corpus is far below
     // the default gate and would otherwise run inline with no pool tasks
     // to cancel.
-    let cluster = PinotCluster::start(
-        ClusterConfig::default()
-            .with_servers(1)
-            .with_taskpool_threads(2)
-            .with_fanout_threshold_ns(0),
-    )
-    .unwrap();
+    let mut config = ClusterConfig::default().with_servers(1);
+    config.engine.taskpool_threads = 2;
+    config.engine.fanout_threshold_ns = 0;
+    let cluster = PinotCluster::start(config).unwrap();
     cluster
         .create_table(TableConfig::offline("views"), schema())
         .unwrap();
@@ -465,16 +456,13 @@ fn deadline_expiry_cancels_queued_segment_tasks() {
 /// may leak into the response.
 #[test]
 fn delayed_morsel_abandons_queued_morsels_at_deadline() {
-    let cluster = PinotCluster::start(
-        ClusterConfig::default()
-            .with_servers(1)
-            .with_taskpool_threads(2)
-            // Gate open + minimum morsel size: the one segment below must
-            // split into ⌈5000/1024⌉ = 5 morsels and fan out.
-            .with_fanout_threshold_ns(0)
-            .with_morsel_docs(1024),
-    )
-    .unwrap();
+    let mut config = ClusterConfig::default().with_servers(1);
+    config.engine.taskpool_threads = 2;
+    // Gate open + minimum morsel size: the one segment below must
+    // split into ⌈5000/1024⌉ = 5 morsels and fan out.
+    config.engine.fanout_threshold_ns = 0;
+    config.engine.morsel_docs = 1024;
+    let cluster = PinotCluster::start(config).unwrap();
     cluster
         .create_table(TableConfig::offline("views"), schema())
         .unwrap();

@@ -510,3 +510,25 @@ fn tenant_throttling_isolates_noisy_tenant() {
     assert!(!resp.partial);
     assert_eq!(count_of(&resp), 100);
 }
+
+/// A malformed `PINOT_*` value must fail cluster boot with an error naming
+/// the variable and the value — never run on a guessed knob. The lookup
+/// stands in for the environment `ClusterConfig::default()` reads.
+#[test]
+fn malformed_knob_fails_boot() {
+    let config = ClusterConfig {
+        env_error: pinot_common::EngineConfig::from_lookup(|name| {
+            (name == "PINOT_EXEC_HEDGE").then(|| "false".to_string())
+        })
+        .err(),
+        ..ClusterConfig::default()
+    };
+    let err = match PinotCluster::start(config) {
+        Ok(_) => panic!("booted on a malformed knob"),
+        Err(e) => e.to_string(),
+    };
+    assert!(
+        err.contains("PINOT_EXEC_HEDGE") && err.contains("\"false\""),
+        "{err}"
+    );
+}

@@ -267,7 +267,7 @@ fn assert_same(pql: &str, pinot: &QueryResponse, baseline: &QueryResponse) {
 fn start_cluster(rows: &[Record], threads: Option<usize>) -> PinotCluster {
     let mut config = ClusterConfig::default().with_servers(3);
     if let Some(t) = threads {
-        config = config.with_taskpool_threads(t);
+        config.engine.taskpool_threads = t;
     }
     let cluster = PinotCluster::start(config).unwrap();
     cluster
@@ -320,10 +320,9 @@ fn parallel_results_are_byte_identical_to_single_thread() {
     // Threshold 0 pins the cost gate open so this corpus — far below the
     // default gate — still exercises the pool fan-out it is meant to test.
     let build = |threads: usize| {
-        let mut config = ClusterConfig::default()
-            .with_servers(1)
-            .with_taskpool_threads(threads)
-            .with_fanout_threshold_ns(0);
+        let mut config = ClusterConfig::default().with_servers(1);
+        config.engine.taskpool_threads = threads;
+        config.engine.fanout_threshold_ns = 0;
         config.num_controllers = 1;
         let c = PinotCluster::start(config).unwrap();
         c.create_table(TableConfig::offline(TABLE), schema())
@@ -371,14 +370,13 @@ fn morsel_thread_matrix_is_byte_identical() {
 
     let rows = gen_rows_n(SEED, ROWS);
     let build = |threads: usize, batch: bool| {
-        let mut config = ClusterConfig::default()
-            .with_servers(1)
-            .with_taskpool_threads(threads)
-            .with_exec_batch(batch)
-            // Force multi-morsel execution regardless of the calibrated
-            // cost model: gate open, morsels at the minimum block size.
-            .with_fanout_threshold_ns(0)
-            .with_morsel_docs(1024);
+        let mut config = ClusterConfig::default().with_servers(1);
+        config.engine.taskpool_threads = threads;
+        config.engine.batch = batch;
+        // Force multi-morsel execution regardless of the calibrated
+        // cost model: gate open, morsels at the minimum block size.
+        config.engine.fanout_threshold_ns = 0;
+        config.engine.morsel_docs = 1024;
         config.num_controllers = 1;
         let c = PinotCluster::start(config).unwrap();
         c.create_table(TableConfig::offline(TABLE), schema())
@@ -471,10 +469,9 @@ fn batch_results_are_byte_identical_to_row_path() {
         for &seed in SEEDS {
             let rows = gen_rows(seed);
             let build = |batch: bool| {
-                let mut config = ClusterConfig::default()
-                    .with_servers(1)
-                    .with_taskpool_threads(threads)
-                    .with_exec_batch(batch);
+                let mut config = ClusterConfig::default().with_servers(1);
+                config.engine.taskpool_threads = threads;
+                config.engine.batch = batch;
                 config.num_controllers = 1;
                 let c = PinotCluster::start(config).unwrap();
                 c.create_table(TableConfig::offline(TABLE), schema())
@@ -548,10 +545,9 @@ fn prune_results_are_byte_identical_to_unpruned() {
         // pruning; per-server slot-ordered merge is deterministic, which
         // is what makes byte-identity a meaningful contract here.
         let build = |prune: bool| {
-            let mut config = ClusterConfig::default()
-                .with_servers(1)
-                .with_taskpool_threads(2)
-                .with_exec_prune(prune);
+            let mut config = ClusterConfig::default().with_servers(1);
+            config.engine.taskpool_threads = 2;
+            config.engine.prune = prune;
             config.num_controllers = 1;
             let c = PinotCluster::start(config).unwrap();
             c.create_table(
@@ -639,11 +635,10 @@ fn planner_strategy_matrix_is_byte_identical() {
 
     let rows = gen_rows(SEED);
     let build = |mode: PlannerMode, batch: bool, threads: usize| {
-        let mut config = ClusterConfig::default()
-            .with_servers(1)
-            .with_taskpool_threads(threads)
-            .with_exec_batch(batch)
-            .with_exec_planner(mode);
+        let mut config = ClusterConfig::default().with_servers(1);
+        config.engine.taskpool_threads = threads;
+        config.engine.batch = batch;
+        config.engine.planner = mode;
         config.num_controllers = 1;
         let c = PinotCluster::start(config).unwrap();
         // Sorted day + inverted country/device so every access path has
@@ -775,12 +770,11 @@ fn survival_knobs_are_byte_invisible() {
         // selection gather is completion-ordered, which would make
         // byte-identity timing-dependent rather than knob-dependent.
         let build = |on: bool| {
-            let mut config = ClusterConfig::default()
-                .with_servers(1)
-                .with_taskpool_threads(2)
-                .with_exec_hedge(on)
-                .with_admission(on)
-                .with_result_cache(on);
+            let mut config = ClusterConfig::default().with_servers(1);
+            config.engine.taskpool_threads = 2;
+            config.engine.hedge = on;
+            config.engine.admission = on;
+            config.engine.result_cache = on;
             config.num_controllers = 1;
             let c = PinotCluster::start(config).unwrap();
             c.create_table(TableConfig::offline(TABLE), schema())

@@ -7,8 +7,7 @@
 //! max offline day) plus every realtime row at or above it. The corpus
 //! runs *during* ingestion (queries interleaved with produce/tick) and
 //! again after the stream drains, across {1, 4} threads × {row, batch}
-//! kernels × {columnar, legacy snapshot-rebuild} realtime paths, and the
-//! answers must agree in every cell. Aggregations and group-bys are
+//! kernels, and the answers must agree in every cell. Aggregations and group-bys are
 //! compared verbatim (the shared finalize is deterministic); selection
 //! rows as unordered multisets, since hybrid gather appends the offline
 //! and realtime sides in completion order.
@@ -280,16 +279,14 @@ fn start_oracle(rows: &[Record]) -> PinotCluster {
 struct Cell {
     threads: usize,
     batch: bool,
-    columnar: bool,
 }
 
 fn start_hybrid(cell: &Cell, offline: &[Record], flush_rows: usize) -> PinotCluster {
     let mut config = ClusterConfig::default()
         .with_servers(1)
-        .with_taskpool_threads(cell.threads)
-        .with_exec_batch(cell.batch)
-        .with_realtime_columnar(cell.columnar)
         .with_clock(Clock::manual(1_700_000_000_000));
+    config.engine.taskpool_threads = cell.threads;
+    config.engine.batch = cell.batch;
     config.num_controllers = 1;
     let cluster = PinotCluster::start(config).unwrap();
     cluster
@@ -342,9 +339,9 @@ fn ingest_interleaved(
 }
 
 /// The main matrix: hybrid (ingesting) vs offline oracle across
-/// {1, 4} threads × {row, batch} kernels, plus a legacy snapshot-rebuild
-/// cell — every cell must agree with the oracle on every generated query,
-/// both mid-ingest and after the stream drains.
+/// {1, 4} threads × {row, batch} kernels — every cell must agree with the
+/// oracle on every generated query, both mid-ingest and after the stream
+/// drains.
 #[test]
 fn hybrid_ingest_matches_offline_oracle() {
     const SEED: u64 = 77;
@@ -371,34 +368,22 @@ fn hybrid_ingest_matches_offline_oracle() {
         Cell {
             threads: 1,
             batch: false,
-            columnar: true,
         },
         Cell {
             threads: 4,
             batch: false,
-            columnar: true,
         },
         Cell {
             threads: 1,
             batch: true,
-            columnar: true,
         },
         Cell {
             threads: 4,
             batch: true,
-            columnar: true,
-        },
-        Cell {
-            threads: 4,
-            batch: true,
-            columnar: false,
         },
     ];
     for cell in &cells {
-        let label = format!(
-            "t={} batch={} columnar={}",
-            cell.threads, cell.batch, cell.columnar
-        );
+        let label = format!("t={} batch={}", cell.threads, cell.batch);
         let cluster = start_hybrid(cell, &offline, FLUSH_ROWS);
 
         // Queries issued *during* ingestion: results must be complete
@@ -450,8 +435,7 @@ fn hybrid_ingest_matches_offline_oracle() {
             }
         }
 
-        // The realtime path really served queries from consistent cuts
-        // (or legacy rebuilds — the counter covers both).
+        // The realtime path really served queries from consistent cuts.
         let snap = cluster.metrics_snapshot();
         assert!(
             snap.counter("realtime.query_cut_rows") > 0,
@@ -480,7 +464,6 @@ fn large_consuming_segment_seals_chunks_and_explains_realtime() {
     let cell = Cell {
         threads: 4,
         batch: true,
-        columnar: true,
     };
     // Flush threshold far above the row count: everything stays in one
     // consuming segment per partition, spanning multiple sealed chunks.
@@ -537,9 +520,9 @@ fn backpressure_pauses_and_drains_without_losing_rows() {
     let clock = Clock::manual(1_700_000_000_000);
     let mut config = ClusterConfig::default()
         .with_servers(1)
-        .with_taskpool_threads(4)
-        .with_ingest_max_buffered_rows(400)
         .with_clock(clock.clone());
+    config.engine.taskpool_threads = 4;
+    config.engine.ingest_max_buffered_rows = 400;
     config.num_controllers = 1;
     let cluster = PinotCluster::start(config).unwrap();
     cluster

@@ -58,9 +58,8 @@ fn sum_of(resp: &pinot_common::query::QueryResponse) -> i64 {
 /// ticks, no morsel ever splits, and the server pool spawns nothing.
 #[test]
 fn fig7_shape_workload_stays_inline_at_default_gate() {
-    let mut config = ClusterConfig::default()
-        .with_servers(1)
-        .with_taskpool_threads(4);
+    let mut config = ClusterConfig::default().with_servers(1);
+    config.engine.taskpool_threads = 4;
     config.num_controllers = 1;
     let cluster = PinotCluster::start(config).unwrap();
     cluster
@@ -102,11 +101,10 @@ fn fig7_shape_workload_stays_inline_at_default_gate() {
 #[test]
 fn large_workload_fans_out_and_stays_exact() {
     const ROWS: usize = 6000;
-    let mut config = ClusterConfig::default()
-        .with_servers(1)
-        .with_taskpool_threads(4)
-        .with_fanout_threshold_ns(1)
-        .with_morsel_docs(1024);
+    let mut config = ClusterConfig::default().with_servers(1);
+    config.engine.taskpool_threads = 4;
+    config.engine.fanout_threshold_ns = 1;
+    config.engine.morsel_docs = 1024;
     config.num_controllers = 1;
     let cluster = PinotCluster::start(config).unwrap();
     cluster

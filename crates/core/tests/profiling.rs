@@ -8,7 +8,7 @@
 
 use pinot_common::config::TableConfig;
 use pinot_common::profile::ProfileNode;
-use pinot_common::query::{QueryRequest, QueryResponse};
+use pinot_common::query::{QueryRequest, QueryResponse, QueryResult};
 use pinot_common::{DataType, FieldSpec, Record, Schema, TimeUnit, Value};
 use pinot_core::chaos::{sites, Fault, FaultInjector};
 use pinot_core::{ClusterConfig, PinotCluster};
@@ -230,6 +230,23 @@ fn profile_segments(node: &ProfileNode) -> u64 {
     }
 }
 
+/// Selection rows as an unordered multiset: two executions of one query
+/// may route to different replicas, and gather order is not part of the
+/// contract. Aggregations and group-bys are compared verbatim.
+fn rows_as_multiset(result: &QueryResult) -> QueryResult {
+    match result {
+        QueryResult::Selection { columns, rows } => {
+            let mut rows = rows.clone();
+            rows.sort_by_key(|r| format!("{r:?}"));
+            QueryResult::Selection {
+                columns: columns.clone(),
+                rows,
+            }
+        }
+        other => other.clone(),
+    }
+}
+
 /// The stat counters that must be identical whether or not profiling is
 /// on (everything except wall-clock times and the query id).
 fn key_stats(resp: &QueryResponse) -> (u64, u64, u64, u64, u64, u64, u64, u64) {
@@ -271,7 +288,8 @@ fn profiled_execution_is_byte_identical_and_reconciles_with_stats() {
 
             // Profiling is unobservable: same bytes, same counters.
             assert_eq!(
-                plain.result, profiled.result,
+                rows_as_multiset(&plain.result),
+                rows_as_multiset(&profiled.result),
                 "profiling changed the result of {pql}"
             );
             assert_eq!(

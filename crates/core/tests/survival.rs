@@ -55,12 +55,9 @@ fn count_of(resp: &pinot_common::query::QueryResponse) -> i64 {
 /// scatter fans out to all three servers, plus enough identical warmup
 /// queries that every server crosses the latency digest's sample floor.
 fn hedging_cluster() -> PinotCluster {
-    let cluster = PinotCluster::start(
-        ClusterConfig::default()
-            .with_servers(3)
-            .with_taskpool_threads(8),
-    )
-    .unwrap();
+    let mut config = ClusterConfig::default().with_servers(3);
+    config.engine.taskpool_threads = 8;
+    let cluster = PinotCluster::start(config).unwrap();
     cluster
         .create_table(TableConfig::offline("views").with_replication(3), schema())
         .unwrap();
@@ -220,12 +217,9 @@ fn all_replicas_faulted_degrades_to_partial() {
 /// generation and the next query recomputes against fresh data.
 #[test]
 fn cache_invalidates_on_segment_commit() {
-    let cluster = PinotCluster::start(
-        ClusterConfig::default()
-            .with_servers(1)
-            .with_result_cache(true),
-    )
-    .unwrap();
+    let mut config = ClusterConfig::default().with_servers(1);
+    config.engine.result_cache = true;
+    let cluster = PinotCluster::start(config).unwrap();
     cluster
         .create_table(TableConfig::offline("views"), schema())
         .unwrap();
@@ -265,12 +259,9 @@ fn cache_invalidates_on_segment_commit() {
 /// transient; served forever from cache it is data loss.
 #[test]
 fn partial_responses_are_never_cached() {
-    let cluster = PinotCluster::start(
-        ClusterConfig::default()
-            .with_servers(2)
-            .with_result_cache(true),
-    )
-    .unwrap();
+    let mut config = ClusterConfig::default().with_servers(2);
+    config.engine.result_cache = true;
+    let cluster = PinotCluster::start(config).unwrap();
     cluster
         .create_table(TableConfig::offline("views"), schema())
         .unwrap();
@@ -303,14 +294,9 @@ fn partial_responses_are_never_cached() {
 /// execution — one miss leads, everyone else rides its answer.
 #[test]
 fn concurrent_identical_queries_coalesce() {
-    let cluster = Arc::new(
-        PinotCluster::start(
-            ClusterConfig::default()
-                .with_servers(1)
-                .with_result_cache(true),
-        )
-        .unwrap(),
-    );
+    let mut config = ClusterConfig::default().with_servers(1);
+    config.engine.result_cache = true;
+    let cluster = Arc::new(PinotCluster::start(config).unwrap());
     cluster
         .create_table(TableConfig::offline("views"), schema())
         .unwrap();
@@ -436,12 +422,9 @@ fn admission_queues_within_bounds_instead_of_shedding() {
 /// answerable from the result cache are still admitted and served.
 #[test]
 fn cached_queries_are_served_while_shedding() {
-    let cluster = PinotCluster::start(
-        ClusterConfig::default()
-            .with_servers(1)
-            .with_result_cache(true),
-    )
-    .unwrap();
+    let mut config = ClusterConfig::default().with_servers(1);
+    config.engine.result_cache = true;
+    let cluster = PinotCluster::start(config).unwrap();
     cluster
         .create_table(TableConfig::offline("views"), schema())
         .unwrap();
@@ -473,12 +456,9 @@ fn cached_queries_are_served_while_shedding() {
 /// annotated `cache=hit` and its profile tree names the result cache.
 #[test]
 fn explain_analyze_shows_cache_hit() {
-    let cluster = PinotCluster::start(
-        ClusterConfig::default()
-            .with_servers(1)
-            .with_result_cache(true),
-    )
-    .unwrap();
+    let mut config = ClusterConfig::default().with_servers(1);
+    config.engine.result_cache = true;
+    let cluster = PinotCluster::start(config).unwrap();
     cluster
         .create_table(TableConfig::offline("views"), schema())
         .unwrap();

@@ -20,34 +20,31 @@
 //! ascending doc order so float sums are bit-identical, and the stats
 //! count the same entries. Queries the kernels cannot serve
 //! (multi-value columns, DISTINCTCOUNT group-bys, composite keys wider
-//! than 64 bits) fall back to the row path, and `PINOT_EXEC_BATCH=0`
-//! forces it globally — the differential suite asserts the two engines
-//! are byte-identical.
+//! than 64 bits) fall back to the row path, and `EngineConfig::batch =
+//! false` forces it globally — the differential suite asserts the two
+//! engines are byte-identical.
 
 use crate::aggstate::AggState;
 use crate::key::{GroupKey, GroupValue};
 use crate::selection::{DocBlock, DocSelection};
 use pinot_common::query::ExecutionStats;
-use pinot_common::Value;
+use pinot_common::{EngineConfig, Value};
 use pinot_obs::Obs;
 use pinot_pql::{AggFunction, AggregateExpr};
 use pinot_segment::bitpack::bits_needed;
 use pinot_segment::column::ColumnData;
 use pinot_segment::DictId;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Runtime switches for per-segment execution, threaded from the server
-/// (or cluster config) down to the kernels.
+/// Everything one per-segment execution takes besides the segment and
+/// the query: the engine's knobs plus the per-request switches.
 #[derive(Clone, Default)]
 pub struct ExecOptions {
-    /// Use the batched kernels where they apply. `None` defers to the
-    /// `PINOT_EXEC_BATCH` env default (on unless set to `0`).
-    pub batch: Option<bool>,
-    /// Evaluate segment statistics (zone maps + blooms) before planning.
-    /// `None` defers to the `PINOT_EXEC_PRUNE` env default (on unless
-    /// set to `0`).
-    pub prune: Option<bool>,
+    /// The engine configuration; execution reads `batch`, `planner` and
+    /// `morsel_docs` from it, EXPLAIN also `prune`. Servers share their
+    /// cluster's resolved value; the default is [`EngineConfig::default`].
+    pub config: Arc<EngineConfig>,
     /// Metrics sink for kernel counters; optional so tests and the
     /// baseline engine can run without one.
     pub obs: Option<Arc<Obs>>,
@@ -61,48 +58,18 @@ pub struct ExecOptions {
     /// allocation per filter leaf per segment, which would eat the
     /// profiling plane's overhead budget on hot queries.
     pub analyze: bool,
-    /// Morsel size in documents for intra-segment splitting. `None`
-    /// defers to the `PINOT_EXEC_MORSEL_DOCS` env default. The split is
-    /// a pure function of (selection, morsel size) — see
-    /// [`crate::morsel`] — so this knob changes bytes only through the
-    /// deterministic partition, never through scheduling.
-    pub morsel_docs: Option<usize>,
     /// Pool + deadline + cost gate for morsel fan-out. `None` (the
     /// default) executes morsels inline on the caller thread; results
     /// are byte-identical either way.
     pub parallel: Option<crate::morsel::ParallelExec>,
-    /// Access-path strategy for filter leaves. `None` defers to the
-    /// `PINOT_EXEC_PLANNER` env default (auto). Every mode yields
-    /// byte-identical results; the forced modes exist so tests and the
-    /// planner bench can pin a single strategy.
-    pub planner: Option<crate::cost::PlannerMode>,
 }
 
 impl ExecOptions {
-    pub fn batch_enabled(&self) -> bool {
-        self.batch.unwrap_or_else(batch_default)
-    }
-
-    pub fn planner_mode(&self) -> crate::cost::PlannerMode {
-        self.planner.unwrap_or_else(crate::cost::planner_default)
-    }
-
-    pub fn prune_enabled(&self) -> bool {
-        self.prune.unwrap_or_else(crate::prune::prune_default)
-    }
-
+    /// Morsel size in documents, on the decode-block grid whatever was
+    /// assigned to the field.
     pub fn morsel_docs(&self) -> usize {
-        self.morsel_docs
-            .map(crate::morsel::clamp_morsel_docs)
-            .unwrap_or_else(crate::morsel::morsel_docs_default)
+        crate::morsel::clamp_morsel_docs(self.config.morsel_docs)
     }
-}
-
-/// Process-wide default for the batch path, read once from
-/// `PINOT_EXEC_BATCH` (`0` forces the legacy row path).
-pub fn batch_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| std::env::var("PINOT_EXEC_BATCH").map_or(true, |v| v != "0"))
 }
 
 /// Kernel counters for one segment execution, flushed to obs afterwards.

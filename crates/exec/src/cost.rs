@@ -19,59 +19,12 @@
 //! enclosing conjunction's current selection, the batch kernel, or any
 //! runtime calibration — so the same leaf picks the same path in every
 //! evaluation order, which is what keeps plan choice byte-invisible to
-//! results and keeps the reordered plan's filter-entry count bounded by
-//! the naive plan's.
+//! results.
 
 use crate::selection::{IdMatcher, MatchKind};
+pub use pinot_common::PlannerMode;
 use pinot_pql::{CmpOp, Predicate};
 use pinot_segment::ImmutableSegment;
-use std::sync::OnceLock;
-
-/// Access-path strategy: `Auto` chooses per leaf from statistics; the
-/// forced modes pin one path wherever its structure exists (falling back
-/// to a scan where it does not) so tests and benches can isolate a
-/// strategy. Every mode produces byte-identical results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlannerMode {
-    #[default]
-    Auto,
-    Scan,
-    Inverted,
-    Sorted,
-}
-
-impl PlannerMode {
-    pub fn parse(s: &str) -> Option<PlannerMode> {
-        match s {
-            "auto" => Some(PlannerMode::Auto),
-            "scan" => Some(PlannerMode::Scan),
-            "inverted" => Some(PlannerMode::Inverted),
-            "sorted" => Some(PlannerMode::Sorted),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PlannerMode::Auto => "auto",
-            PlannerMode::Scan => "scan",
-            PlannerMode::Inverted => "inverted",
-            PlannerMode::Sorted => "sorted",
-        }
-    }
-}
-
-/// Process-wide default strategy, read once from `PINOT_EXEC_PLANNER`
-/// (`auto` | `scan` | `inverted` | `sorted`; unset or unknown → auto).
-pub fn planner_default() -> PlannerMode {
-    static DEFAULT: OnceLock<PlannerMode> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("PINOT_EXEC_PLANNER")
-            .ok()
-            .and_then(|v| PlannerMode::parse(&v))
-            .unwrap_or_default()
-    })
-}
 
 /// Physical access path chosen for one predicate leaf.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

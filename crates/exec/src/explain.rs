@@ -62,7 +62,7 @@ pub fn explain_segment(
         segment.column(c)?;
     }
 
-    let prune = if opts.prune_enabled() {
+    let prune = if opts.config.prune {
         let evaluator = PruneEvaluator::new(time_column.map(String::from));
         let outcome = evaluator.evaluate(query.filter.as_ref(), &**segment);
         match outcome.prunable {
@@ -112,7 +112,7 @@ pub fn explain_segment(
 
     let plan = planner::plan_segment(handle, effective);
     let predicate_order = if plan == PlanKind::Raw {
-        planner::conjunct_order(segment, effective.filter.as_ref(), opts.planner_mode())
+        planner::conjunct_order(segment, effective.filter.as_ref(), opts.config.planner)
     } else {
         Vec::new()
     };
@@ -139,7 +139,7 @@ pub fn explain_segment(
 /// Would the raw path's scan use a batched kernel? Replicates the
 /// eligibility checks `execute_on_segment_with` makes per select shape.
 fn raw_plan_uses_batch(handle: &SegmentHandle, query: &Query, opts: &ExecOptions) -> bool {
-    if !opts.batch_enabled() {
+    if !opts.config.batch {
         return false;
     }
     let segment = &handle.segment;
@@ -285,7 +285,7 @@ pub fn render_plan(query: &Query, mut segments: Vec<SegmentExplain>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pinot_common::{DataType, FieldSpec, Record, Schema, TimeUnit, Value};
+    use pinot_common::{DataType, EngineConfig, FieldSpec, Record, Schema, TimeUnit, Value};
     use pinot_pql::parse;
     use pinot_segment::builder::{BuilderConfig, SegmentBuilder};
     use std::sync::Arc;
@@ -377,7 +377,10 @@ mod tests {
             &parse("SELECT SUM(clicks) FROM t WHERE country = 'us'").unwrap(),
             Some("day"),
             &ExecOptions {
-                planner: Some(crate::cost::PlannerMode::Scan),
+                config: Arc::new(EngineConfig {
+                    planner: crate::cost::PlannerMode::Scan,
+                    ..EngineConfig::default()
+                }),
                 ..ExecOptions::default()
             },
         )
@@ -392,7 +395,10 @@ mod tests {
             &parse("SELECT SUM(clicks) FROM t WHERE clicks > 15").unwrap(),
             Some("day"),
             &ExecOptions {
-                batch: Some(false),
+                config: Arc::new(EngineConfig {
+                    batch: false,
+                    ..EngineConfig::default()
+                }),
                 ..ExecOptions::default()
             },
         )

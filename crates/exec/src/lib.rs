@@ -32,22 +32,17 @@ pub mod segment_exec;
 pub mod selection;
 
 pub use aggstate::AggState;
-pub use batch::{batch_default, ExecOptions};
+pub use batch::ExecOptions;
 pub use cost::{
-    choose_path, estimate_leaf, estimate_predicate, planner_default, AccessPath, LeafEstimate,
-    PlannerMode,
+    choose_path, estimate_leaf, estimate_predicate, AccessPath, LeafEstimate, PlannerMode,
 };
 pub use explain::{explain_segment, render_plan, SegmentExplain};
 pub use key::GroupKey;
 pub use merge::{collected_profiles, finalize, merge_intermediate};
 pub use morsel::{split_selection, CostModel, ParallelExec};
-pub use planner::{
-    conjunct_order, evaluate_filter_mode, evaluate_filter_planned, plan_segment, ConjunctPlan,
-    PlanKind,
-};
+pub use planner::{conjunct_order, evaluate_filter_planned, plan_segment, ConjunctPlan, PlanKind};
 pub use prune::{
-    prune_default, ColumnRange, Prunable, PruneEvaluator, PruneLevel, PruneOutcome,
-    PruneStatsSource, ZoneMapStats,
+    ColumnRange, Prunable, PruneEvaluator, PruneLevel, PruneOutcome, PruneStatsSource, ZoneMapStats,
 };
 pub use segment_exec::{
     execute_on_segment, execute_on_segment_with, IntermediateResult, SegmentHandle,

@@ -32,26 +32,13 @@ use pinot_common::{PinotError, Result};
 use pinot_obs::Obs;
 use pinot_segment::DocId;
 use pinot_taskpool::{Deadline, TaskPool, WorkerSlots};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Environment override for the morsel size in documents. Rounded down
-/// to a multiple of the BLOCK=1024 decode unit (and clamped to at least
-/// one block) so a morsel never splits a decode block.
-pub const MORSEL_DOCS_ENV: &str = "PINOT_EXEC_MORSEL_DOCS";
+pub use pinot_common::engine::{clamp_morsel_docs, DEFAULT_FANOUT_NS};
 
-/// Environment override for the fan-out threshold in estimated
-/// nanoseconds of scan work.
-pub const FANOUT_NS_ENV: &str = "PINOT_EXEC_FANOUT_NS";
-
-/// Default morsel size: 64 decode blocks. Small enough that a 4M-doc
-/// segment yields ~61 morsels (good balance even with stealing), large
-/// enough that per-task overhead stays ≪ 1% of a morsel's scan time.
-pub const DEFAULT_MORSEL_DOCS: usize = 64 * BLOCK_SIZE;
-
-/// Default fan-out threshold: ~2ms of estimated scan work. Below it a
-/// query answers faster on the caller thread than the scheduling
-/// round-trip costs.
-pub const DEFAULT_FANOUT_NS: u64 = 2_000_000;
+// The morsel grid of `EngineConfig::morsel_docs` is this crate's decode
+// block: a morsel on the grid never splits one.
+const _: () = assert!(pinot_common::engine::MORSEL_GRID_DOCS == BLOCK_SIZE);
 
 /// Starting per-doc scan cost until calibration has data.
 pub const DEFAULT_NS_PER_DOC: f64 = 4.0;
@@ -60,36 +47,6 @@ pub const DEFAULT_NS_PER_DOC: f64 = 4.0;
 /// measurement (page cache miss, CI noise) cannot wedge the gate fully
 /// open or shut.
 pub const NS_PER_DOC_CLAMP: (f64, f64) = (0.5, 200.0);
-
-/// Round a configured morsel size to the decode-block grid.
-pub fn clamp_morsel_docs(docs: usize) -> usize {
-    (docs / BLOCK_SIZE).max(1) * BLOCK_SIZE
-}
-
-/// Process-wide default morsel size, read once from
-/// [`MORSEL_DOCS_ENV`].
-pub fn morsel_docs_default() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var(MORSEL_DOCS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(clamp_morsel_docs)
-            .unwrap_or(DEFAULT_MORSEL_DOCS)
-    })
-}
-
-/// Process-wide default fan-out threshold, read once from
-/// [`FANOUT_NS_ENV`].
-pub fn fanout_ns_default() -> u64 {
-    static DEFAULT: OnceLock<u64> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var(FANOUT_NS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(DEFAULT_FANOUT_NS)
-    })
-}
 
 /// The fan-out cost model: estimated work for a scan is
 /// `docs × columns × ns_per_doc`, compared against a fixed threshold.
@@ -105,7 +62,7 @@ impl Default for CostModel {
     fn default() -> CostModel {
         CostModel {
             ns_per_doc: DEFAULT_NS_PER_DOC,
-            fanout_threshold_ns: fanout_ns_default(),
+            fanout_threshold_ns: DEFAULT_FANOUT_NS,
         }
     }
 }

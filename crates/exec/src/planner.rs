@@ -10,7 +10,7 @@ use crate::segment_exec::SegmentHandle;
 use crate::selection::{DocSelection, IdMatcher, MatchKind};
 use pinot_bitmap::RoaringBitmap;
 use pinot_common::query::ExecutionStats;
-use pinot_common::{Result, Value};
+use pinot_common::{EngineConfig, Result, Value};
 use pinot_obs::Obs;
 use pinot_pql::{AggFunction, CmpOp, Predicate, Query, SelectList};
 use pinot_segment::{DictId, ImmutableSegment};
@@ -277,37 +277,22 @@ fn intersect_filter(f: &mut DimFilter, ids: Vec<DictId>) {
 }
 
 /// Everything one filter evaluation needs beyond the predicate itself:
-/// the scan-kernel choice, the access-path strategy, whether conjuncts
-/// reorder, and the optional observation sinks. None of these fields may
-/// influence which docs a leaf selects — only how the selection is
-/// computed and what gets recorded about it.
+/// the scan-kernel choice, the access-path strategy, and the optional
+/// observation sinks. None of these fields may influence which docs a
+/// leaf selects — only how the selection is computed and what gets
+/// recorded about it.
 pub(crate) struct FilterCtx<'a> {
     /// Scan-fallback leaves decode dict-id blocks (`true`) or test doc
     /// by doc through the forward index (`false`).
     pub batch: bool,
     /// Access-path strategy per leaf ([`cost::choose_path`]).
     pub mode: PlannerMode,
-    /// Reorder conjuncts cheapest-first and range-restrict scan leaves.
-    /// `false` is the ablation baseline: written order, full leaves.
-    pub cost_ordered: bool,
     /// Metrics sink for per-leaf path counters and the est-vs-actual
     /// histogram.
     pub obs: Option<&'a Obs>,
     /// When profiling, each evaluated leaf appends its measured
     /// [`ConjunctMeasure`] here for EXPLAIN ANALYZE.
     pub report: Option<&'a RefCell<Vec<ConjunctMeasure>>>,
-}
-
-impl FilterCtx<'_> {
-    fn new(batch: bool, mode: PlannerMode) -> FilterCtx<'static> {
-        FilterCtx {
-            batch,
-            mode,
-            cost_ordered: true,
-            obs: None,
-            report: None,
-        }
-    }
 }
 
 /// What one leaf actually did during a profiled evaluation: the chosen
@@ -322,33 +307,21 @@ pub struct ConjunctMeasure {
 }
 
 /// Evaluate a filter to a document selection, using the best index per leaf
-/// and ordering conjuncts cheapest-first (§4.2). Scan-fallback leaves use
-/// the batched or row path per the `PINOT_EXEC_BATCH` default; the access
-/// path per leaf follows the `PINOT_EXEC_PLANNER` default.
+/// and ordering conjuncts cheapest-first (§4.2), with the scan kernel and
+/// access-path strategy of [`EngineConfig::default`].
 pub fn evaluate_filter(
     segment: &ImmutableSegment,
     pred: Option<&Predicate>,
     stats: &mut ExecutionStats,
 ) -> Result<DocSelection> {
-    evaluate_filter_mode(segment, pred, stats, crate::batch::batch_default())
+    let config = EngineConfig::default();
+    evaluate_filter_planned(segment, pred, stats, config.planner, config.batch)
 }
 
-/// Like [`evaluate_filter`] with the scan-leaf path pinned: `batch`
-/// decodes dict-id blocks and matches in id space, `!batch` tests doc by
-/// doc through the forward index.
-pub fn evaluate_filter_mode(
-    segment: &ImmutableSegment,
-    pred: Option<&Predicate>,
-    stats: &mut ExecutionStats,
-    batch: bool,
-) -> Result<DocSelection> {
-    let ctx = FilterCtx::new(batch, cost::planner_default());
-    evaluate_filter_ctx(segment, pred, stats, &ctx)
-}
-
-/// Like [`evaluate_filter`] with the access-path strategy pinned too —
-/// the entry point the strategy-matrix differential tests and the
-/// planner proptests drive directly.
+/// Like [`evaluate_filter`] with the access-path strategy and the
+/// scan-leaf kernel pinned (`batch` decodes dict-id blocks and matches in
+/// id space, `!batch` tests doc by doc through the forward index) — the
+/// entry point the planner proptests and the kernel bench drive directly.
 pub fn evaluate_filter_planned(
     segment: &ImmutableSegment,
     pred: Option<&Predicate>,
@@ -356,24 +329,11 @@ pub fn evaluate_filter_planned(
     mode: PlannerMode,
     batch: bool,
 ) -> Result<DocSelection> {
-    let ctx = FilterCtx::new(batch, mode);
-    evaluate_filter_ctx(segment, pred, stats, &ctx)
-}
-
-/// Like [`evaluate_filter`] but with cost-based conjunct reordering
-/// optionally disabled (conjuncts then evaluate in written order, each
-/// producing its full document set before intersection). Exists for the
-/// ablation benchmark quantifying §4.2's "sorted operators execute first
-/// and pass their range to subsequent operators" rule.
-pub fn evaluate_filter_with_ordering(
-    segment: &ImmutableSegment,
-    pred: Option<&Predicate>,
-    stats: &mut ExecutionStats,
-    cost_ordered: bool,
-) -> Result<DocSelection> {
     let ctx = FilterCtx {
-        cost_ordered,
-        ..FilterCtx::new(crate::batch::batch_default(), cost::planner_default())
+        batch,
+        mode,
+        obs: None,
+        report: None,
     };
     evaluate_filter_ctx(segment, pred, stats, &ctx)
 }
@@ -384,49 +344,9 @@ pub(crate) fn evaluate_filter_ctx(
     stats: &mut ExecutionStats,
     ctx: &FilterCtx<'_>,
 ) -> Result<DocSelection> {
-    let num_docs = segment.num_docs();
     match pred {
-        None => Ok(DocSelection::All(num_docs)),
-        Some(p) => {
-            let normalized = normalize_predicate(p);
-            if ctx.cost_ordered {
-                eval(segment, &normalized, stats, ctx)
-            } else {
-                eval_unordered(segment, &normalized, stats, ctx)
-            }
-        }
-    }
-}
-
-/// Naive evaluation: no reordering, no range-restricted scans, no bulk
-/// index operators. Each leaf still uses the same access path as the
-/// ordered plan (the choice is a pure function of segment/leaf/mode), so
-/// the two differ only in how much work surrounds identical leaves.
-fn eval_unordered(
-    segment: &ImmutableSegment,
-    pred: &Predicate,
-    stats: &mut ExecutionStats,
-    ctx: &FilterCtx<'_>,
-) -> Result<DocSelection> {
-    let num_docs = segment.num_docs();
-    match pred {
-        Predicate::And(ps) => {
-            let mut acc = DocSelection::All(num_docs);
-            for p in ps {
-                let s = eval_unordered(segment, p, stats, ctx)?;
-                acc = acc.and(&s);
-            }
-            Ok(acc)
-        }
-        Predicate::Or(ps) => {
-            let mut acc = DocSelection::Empty;
-            for p in ps {
-                acc = acc.or(&eval_unordered(segment, p, stats, ctx)?);
-            }
-            Ok(acc)
-        }
-        Predicate::Not(inner) => Ok(eval_unordered(segment, inner, stats, ctx)?.not(num_docs)),
-        leaf => eval_leaf(segment, leaf, stats, None, ctx),
+        None => Ok(DocSelection::All(segment.num_docs())),
+        Some(p) => eval(segment, &normalize_predicate(p), stats, ctx),
     }
 }
 
@@ -1073,35 +993,6 @@ mod tests {
         // Cross-dimension OR cannot navigate the tree.
         let q = parse("SELECT SUM(m) FROM t WHERE k = 1 OR c = 'c1'").unwrap();
         assert!(try_star_tree(&handle, &q).is_none());
-    }
-
-    #[test]
-    fn unordered_evaluation_matches_ordered() {
-        for (sorted, inverted) in [(false, false), (true, false), (false, true), (true, true)] {
-            let seg = segment(sorted, inverted);
-            for q in [
-                "SELECT COUNT(*) FROM t WHERE k = 3 AND c = 'c1'",
-                "SELECT COUNT(*) FROM t WHERE m > 50 AND k < 5 AND c != 'c0'",
-                "SELECT COUNT(*) FROM t WHERE (k = 1 OR k = 2) AND m BETWEEN 10 AND 60",
-            ] {
-                let pred = filter_of(q);
-                let mut s1 = ExecutionStats::default();
-                let mut s2 = ExecutionStats::default();
-                let ordered =
-                    evaluate_filter_with_ordering(&seg, Some(&pred), &mut s1, true).unwrap();
-                let unordered =
-                    evaluate_filter_with_ordering(&seg, Some(&pred), &mut s2, false).unwrap();
-                assert_eq!(docs(&ordered), docs(&unordered), "{q}");
-                // The reordered plan never touches more entries in the
-                // filter phase than the naive one.
-                assert!(
-                    s1.num_entries_scanned_in_filter <= s2.num_entries_scanned_in_filter,
-                    "{q}: ordered {} vs unordered {}",
-                    s1.num_entries_scanned_in_filter,
-                    s2.num_entries_scanned_in_filter
-                );
-            }
-        }
     }
 
     #[test]

@@ -33,7 +33,6 @@ use pinot_pql::{CmpOp, Predicate};
 use pinot_segment::ImmutableSegment;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// Verdict of folding a filter against segment statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,13 +151,6 @@ pub fn zone_overlap_fraction(min: f64, max: f64, lo: Option<f64>, hi: Option<f64
         return 1.0;
     }
     ((hi - lo) / (max - min)).clamp(0.0, 1.0)
-}
-
-/// Process-wide default for the pruning pipeline, read once from
-/// `PINOT_EXEC_PRUNE` (`0` disables pruning at every level).
-pub fn prune_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| std::env::var("PINOT_EXEC_PRUNE").map_or(true, |v| v != "0"))
 }
 
 /// Folds filter trees against column statistics.

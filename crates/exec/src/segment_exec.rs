@@ -91,8 +91,8 @@ impl IntermediateResult {
     }
 }
 
-/// Execute a query on one segment with default options (the
-/// `PINOT_EXEC_BATCH` env decides between the batched and row paths).
+/// Execute a query on one segment with default options
+/// ([`pinot_common::EngineConfig::default`]: batched kernels, auto planner).
 pub fn execute_on_segment(handle: &SegmentHandle, query: &Query) -> Result<IntermediateResult> {
     execute_on_segment_with(handle, query, &ExecOptions::default())
 }
@@ -185,7 +185,7 @@ pub fn execute_on_segment_with(
     // kernels handle what they can; anything else (multi-value columns,
     // over-wide group keys) falls back to the row path per operator.
     record_plan(&mut stats, segment.name(), planner::PlanKind::Raw);
-    let batch = opts.batch_enabled();
+    let batch = opts.config.batch;
     let filter_start = opts.profile.then(std::time::Instant::now);
     // Per-conjunct measurements (chosen path, estimated vs actual docs)
     // are collected only for EXPLAIN ANALYZE; plain profiled execution
@@ -193,8 +193,7 @@ pub fn execute_on_segment_with(
     let conjuncts = (opts.profile && opts.analyze).then(|| std::cell::RefCell::new(Vec::new()));
     let fctx = planner::FilterCtx {
         batch,
-        mode: opts.planner_mode(),
-        cost_ordered: true,
+        mode: opts.config.planner,
         obs: opts.obs.as_deref(),
         report: conjuncts.as_ref(),
     };
@@ -253,7 +252,7 @@ pub fn execute_on_segment_with(
     };
     let scan_ns = scan_start.elapsed().as_nanos() as u64;
     if let Some(obs) = &opts.obs {
-        kstats.flush(obs, batch, scan_ns);
+        kstats.flush(obs, batch_kernel, scan_ns);
     }
     let profile = seg_start.map(|t| {
         let (scan_op, docs_produced) = match &payload {
@@ -679,7 +678,7 @@ fn select_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pinot_common::{DataType, FieldSpec, Record, Schema, Value};
+    use pinot_common::{DataType, EngineConfig, FieldSpec, Record, Schema, Value};
     use pinot_pql::parse;
     use pinot_segment::builder::{BuilderConfig, SegmentBuilder};
     use std::sync::Arc;
@@ -709,7 +708,10 @@ mod tests {
 
     fn run(handle: &SegmentHandle, pql: &str, batch: bool) -> IntermediateResult {
         let opts = ExecOptions {
-            batch: Some(batch),
+            config: Arc::new(EngineConfig {
+                batch,
+                ..EngineConfig::default()
+            }),
             ..ExecOptions::default()
         };
         execute_on_segment_with(handle, &parse(pql).unwrap(), &opts).unwrap()
@@ -764,5 +766,21 @@ mod tests {
             b.stats.num_entries_scanned_post_filter,
             r.stats.num_entries_scanned_post_filter
         );
+
+        // The kernel counters name the kernel that ran, not the option:
+        // under the default (batch) config the SV group-by above counts
+        // as a batch segment, a DISTINCTCOUNT group-by — which the packed
+        // kernel cannot serve — as a row segment.
+        let obs = pinot_obs::Obs::shared();
+        let opts = ExecOptions {
+            obs: Some(Arc::clone(&obs)),
+            ..ExecOptions::default()
+        };
+        for q in [pql, "SELECT DISTINCTCOUNT(m) FROM t GROUP BY country"] {
+            execute_on_segment_with(&handle, &parse(q).unwrap(), &opts).unwrap();
+        }
+        let snap = obs.metrics.snapshot();
+        assert_eq!(snap.counter("exec.batch_segments"), 1);
+        assert_eq!(snap.counter("exec.row_segments"), 1);
     }
 }

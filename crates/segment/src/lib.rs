@@ -40,7 +40,7 @@ pub use builder::SegmentBuilder;
 pub use column::ColumnData;
 pub use dictionary::Dictionary;
 pub use metadata::{ColumnStats, SegmentMetadata};
-pub use mutable::{realtime_columnar_default, MutableSegment};
+pub use mutable::MutableSegment;
 pub use segment::ImmutableSegment;
 
 /// Document id within one segment.

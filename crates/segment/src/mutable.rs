@@ -18,26 +18,13 @@
 //! offline ones (with exact zone maps, because the cut dictionary is exact
 //! at the high-water mark). Cuts are cached per `(epoch, high-water mark)`
 //! so repeated queries between appends share one view.
-//!
-//! The pre-columnar rebuild-everything path survives only as
-//! [`MutableSegment::snapshot_rebuild`], the benchmark baseline behind
-//! `PINOT_REALTIME_COLUMNAR=0`.
 
-use crate::builder::{BuilderConfig, SegmentBuilder};
+use crate::builder::BuilderConfig;
 use crate::realtime::{self, MutableColumn};
 use crate::segment::ImmutableSegment;
 use pinot_common::{Record, Result, Schema};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::sync::{Mutex, OnceLock};
-
-/// `PINOT_REALTIME_COLUMNAR=0` restores the legacy rebuild-on-query
-/// snapshot path (the benchmark baseline); anything else (or unset) serves
-/// queries from columnar consistent cuts.
-pub fn realtime_columnar_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| std::env::var("PINOT_REALTIME_COLUMNAR").map_or(true, |v| v != "0"))
-}
+use std::sync::{Arc, Mutex};
 
 /// Columnar state behind one lock: appends, cuts, and truncation all
 /// serialize here, which is what makes a cut consistent.
@@ -62,8 +49,6 @@ pub struct MutableSegment {
     inner: Mutex<Inner>,
     /// Cached columnar cut, keyed by `(epoch, current_offset)`.
     cut_cache: ViewCache,
-    /// Cached legacy rebuilt snapshot, same key.
-    legacy_cache: ViewCache,
     /// Chunks sealed since the last [`take_chunks_sealed`] drain
     /// (`realtime.chunks_sealed` metric).
     chunks_sealed: AtomicU64,
@@ -95,7 +80,6 @@ impl MutableSegment {
                 columns,
             }),
             cut_cache: Mutex::new(None),
-            legacy_cache: Mutex::new(None),
             chunks_sealed: AtomicU64::new(0),
             created_at_millis,
         }
@@ -187,55 +171,6 @@ impl MutableSegment {
         Ok(seg)
     }
 
-    /// An immutable view of everything consumed so far. Compat shim over
-    /// [`cut`](MutableSegment::cut) — kept because tests and tooling built
-    /// against the pre-columnar API call it.
-    pub fn snapshot(&self) -> Result<Arc<ImmutableSegment>> {
-        self.cut()
-    }
-
-    /// The legacy rebuild-the-world snapshot: reconstruct every row and
-    /// push it through [`SegmentBuilder`], O(total rows) per change. Kept
-    /// as the measurable baseline behind `PINOT_REALTIME_COLUMNAR=0`.
-    pub fn snapshot_rebuild(&self) -> Result<Arc<ImmutableSegment>> {
-        let inner = self.inner.lock().unwrap();
-        let key = (inner.epoch, inner.current_offset);
-        if let Some((k, seg)) = self.legacy_cache.lock().unwrap().as_ref() {
-            if *k == key {
-                return Ok(Arc::clone(seg));
-            }
-        }
-        let rows = inner.num_rows;
-        let end_offset = inner.current_offset;
-        let mut per_col: Vec<std::vec::IntoIter<pinot_common::Value>> = inner
-            .columns
-            .iter()
-            .map(|c| c.values_for_rebuild(rows).into_iter())
-            .collect();
-        drop(inner);
-        let records: Vec<Record> = (0..rows)
-            .map(|_| {
-                Record::new(
-                    per_col
-                        .iter_mut()
-                        .map(|it| it.next().expect("column length matches row count"))
-                        .collect(),
-                )
-            })
-            .collect();
-        let mut builder = SegmentBuilder::new(
-            self.schema.clone(),
-            BuilderConfig::new(self.segment_name.clone(), self.table.clone())
-                .with_offset_range(self.start_offset, end_offset),
-        )?;
-        for r in records {
-            builder.add(r)?;
-        }
-        let seg = Arc::new(builder.build()?);
-        *self.legacy_cache.lock().unwrap() = Some((key, Arc::clone(&seg)));
-        Ok(seg)
-    }
-
     /// Seal into the final immutable segment with the table's full index
     /// configuration (sort columns, inverted indexes, partition info).
     pub fn seal(&self, config: BuilderConfig) -> Result<ImmutableSegment> {
@@ -281,7 +216,6 @@ impl MutableSegment {
         inner.epoch += 1;
         drop(inner);
         *self.cut_cache.lock().unwrap() = None;
-        *self.legacy_cache.lock().unwrap() = None;
     }
 }
 
@@ -298,6 +232,7 @@ impl std::fmt::Debug for MutableSegment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::SegmentBuilder;
     use pinot_common::{DataType, FieldSpec, TimeUnit, Value};
 
     fn schema() -> Schema {
@@ -317,22 +252,22 @@ mod tests {
     }
 
     #[test]
-    fn append_and_snapshot() {
+    fn append_and_cut() {
         let ms = MutableSegment::new(schema(), "s__0__0", "t_REALTIME", 100, 0);
         ms.append(rec(1, 10, 5), 100).unwrap();
         ms.append(rec(2, 20, 6), 101).unwrap();
         assert_eq!(ms.num_rows(), 2);
         assert_eq!(ms.current_offset(), 102);
 
-        let snap = ms.snapshot().unwrap();
+        let snap = ms.cut().unwrap();
         assert_eq!(snap.num_docs(), 2);
         assert_eq!(snap.metadata().offset_range, Some((100, 102)));
 
         // Cached until next append.
-        let snap2 = ms.snapshot().unwrap();
+        let snap2 = ms.cut().unwrap();
         assert!(Arc::ptr_eq(&snap, &snap2));
         ms.append(rec(3, 30, 7), 102).unwrap();
-        let snap3 = ms.snapshot().unwrap();
+        let snap3 = ms.cut().unwrap();
         assert_eq!(snap3.num_docs(), 3);
         // The earlier cut is immutable: still two docs.
         assert_eq!(snap.num_docs(), 2);
@@ -489,23 +424,35 @@ mod tests {
         );
     }
 
-    /// Cuts must agree with the legacy rebuilt snapshot on every doc.
+    /// A cut must agree, doc for doc, with a `SegmentBuilder` segment
+    /// built from the same input rows — across sealed chunks and the
+    /// open tail.
     #[test]
-    fn cut_matches_legacy_rebuild() {
+    fn cut_matches_row_built_segment() {
+        let rows = crate::forward::CHUNK_ROWS + 1500;
+        let row = |i: i64| rec(i % 11, i * 3, 50 + i % 9);
         let ms = MutableSegment::new(schema(), "s", "t", 0, 0);
-        for i in 0..1500 {
-            ms.append(rec(i % 11, i * 3, 50 + i % 9), i as u64).unwrap();
+        let mut builder = SegmentBuilder::new(
+            schema(),
+            BuilderConfig::new("s", "t").with_offset_range(0, rows as u64),
+        )
+        .unwrap();
+        for i in 0..rows as i64 {
+            ms.append(row(i), i as u64).unwrap();
+            builder.add(row(i)).unwrap();
         }
         let cut = ms.cut().unwrap();
-        let legacy = ms.snapshot_rebuild().unwrap();
-        assert_eq!(cut.metadata().num_docs, legacy.metadata().num_docs);
-        assert_eq!(cut.metadata().min_time, legacy.metadata().min_time);
-        assert_eq!(cut.metadata().max_time, legacy.metadata().max_time);
-        for d in 0..1500u32 {
+        let reference = builder.build().unwrap();
+        // Same logical metadata (zone maps, time bounds, offsets); only
+        // the physical size differs — a cut keeps chunked id vectors.
+        let mut logical = reference.metadata().clone();
+        logical.size_bytes = cut.metadata().size_bytes;
+        assert_eq!(cut.metadata(), &logical);
+        for d in 0..rows as u32 {
             for col in ["k", "m", "ts"] {
                 assert_eq!(
                     cut.column(col).unwrap().value(d),
-                    legacy.column(col).unwrap().value(d),
+                    reference.column(col).unwrap().value(d),
                     "doc {d} column {col}"
                 );
             }

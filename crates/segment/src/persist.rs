@@ -7,14 +7,11 @@
 //!
 //! Layout: `magic "PSEG" | version u16 | fnv64 checksum of payload | payload`.
 //! The payload serializes the schema, metadata, and every column
-//! (dictionary, forward index, optional inverted/sorted indexes, and —
-//! since version 2 — an optional blocked bloom filter). All integers are
-//! little-endian. Deserialization re-validates structure and the checksum
-//! so corrupted blobs are rejected at load time.
-//!
-//! Version history: v1 has no per-column bloom section; v1 blobs still
-//! load (blooms come back absent and pruning degrades to zone maps only).
-//! Writers always emit the current version.
+//! (dictionary, forward index, optional inverted/sorted indexes, and an
+//! optional blocked bloom filter). All integers are little-endian.
+//! Deserialization re-validates structure and the checksum so corrupted
+//! blobs are rejected at load time. Exactly one version is written and
+//! read; any other version in the header is a typed error.
 
 use crate::bitpack::PackedIntVec;
 use crate::bloom::BloomFilter;
@@ -30,10 +27,8 @@ use pinot_bitmap::RoaringBitmap;
 use pinot_common::{DataType, FieldRole, FieldSpec, PinotError, Result, Schema, TimeUnit, Value};
 
 const MAGIC: &[u8; 4] = b"PSEG";
-/// Current format version. v2 added the per-column bloom section.
+/// The format version this build writes and reads.
 const VERSION: u16 = 2;
-/// Oldest version this build still reads.
-const MIN_VERSION: u16 = 1;
 
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
@@ -44,22 +39,18 @@ fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Serialize a segment to a self-validating blob (current version).
+/// Serialize a segment to a self-validating blob.
 pub fn serialize(seg: &ImmutableSegment) -> Vec<u8> {
-    serialize_with_version(seg, VERSION)
-}
-
-fn serialize_with_version(seg: &ImmutableSegment, version: u16) -> Vec<u8> {
     let mut payload = BytesMut::with_capacity(seg.size_bytes() as usize / 2 + 1024);
     write_schema(&mut payload, seg.schema());
     write_metadata(&mut payload, seg.metadata());
     payload.put_u32_le(seg.columns().len() as u32);
     for col in seg.columns() {
-        write_column(&mut payload, col, version);
+        write_column(&mut payload, col);
     }
     let mut out = Vec::with_capacity(payload.len() + 14);
     out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&fnv64(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
     out
@@ -71,7 +62,7 @@ pub fn deserialize(bytes: &[u8]) -> Result<ImmutableSegment> {
         return Err(err("bad magic"));
     }
     let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(err(&format!("unsupported segment version {version}")));
     }
     let checksum = u64::from_le_bytes(bytes[6..14].try_into().unwrap());
@@ -88,7 +79,7 @@ pub fn deserialize(bytes: &[u8]) -> Result<ImmutableSegment> {
     }
     let mut columns = Vec::with_capacity(ncols);
     for spec in schema.fields() {
-        columns.push(read_column(&mut buf, spec.clone(), version)?);
+        columns.push(read_column(&mut buf, spec.clone())?);
     }
     if buf.has_remaining() {
         return Err(err("trailing bytes"));
@@ -554,7 +545,7 @@ fn read_packed(buf: &mut Bytes) -> Result<PackedIntVec> {
     PackedIntVec::from_raw_parts(bits, len, words).ok_or_else(|| err("bad packed vector"))
 }
 
-fn write_column(buf: &mut BytesMut, col: &ColumnData, version: u16) {
+fn write_column(buf: &mut BytesMut, col: &ColumnData) {
     write_dictionary(buf, &col.dictionary);
     match &col.forward {
         ForwardIndex::SingleValue(p) => {
@@ -603,10 +594,6 @@ fn write_column(buf: &mut BytesMut, col: &ColumnData, version: u16) {
         }
         None => buf.put_u8(0),
     }
-    // v2: optional bloom filter.
-    if version < 2 {
-        return;
-    }
     match &col.bloom {
         Some(f) => {
             buf.put_u8(1);
@@ -651,7 +638,7 @@ fn read_bloom(buf: &mut Bytes) -> Result<Option<BloomFilter>> {
     }
 }
 
-fn read_column(buf: &mut Bytes, spec: FieldSpec, version: u16) -> Result<ColumnData> {
+fn read_column(buf: &mut Bytes, spec: FieldSpec) -> Result<ColumnData> {
     let dictionary = read_dictionary(buf)?;
     let forward = match read_u8(buf)? {
         0 => ForwardIndex::SingleValue(read_packed(buf)?),
@@ -706,8 +693,7 @@ fn read_column(buf: &mut Bytes, spec: FieldSpec, version: u16) -> Result<ColumnD
         }
         _ => return Err(err("bad sorted tag")),
     };
-    // v1 blobs predate bloom filters: load with the section absent.
-    let bloom = if version >= 2 { read_bloom(buf)? } else { None };
+    let bloom = read_bloom(buf)?;
     // Cross-checks against the dictionary.
     for doc in 0..forward.num_docs() as u32 {
         // Spot-check only the first and last documents to keep load cheap;
@@ -821,23 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_blobs_load_with_blooms_absent() {
-        let seg = build_segment();
-        let v1 = serialize_with_version(&seg, 1);
-        assert_eq!(u16::from_le_bytes([v1[4], v1[5]]), 1);
-        let back = deserialize(&v1).unwrap();
-        // Data and indexes intact; bloom stats degrade to absent.
-        assert_eq!(back.num_docs(), seg.num_docs());
-        for doc in (0..seg.num_docs()).step_by(97) {
-            assert_eq!(back.record(doc), seg.record(doc));
-        }
-        assert!(back.column("country").unwrap().bloom.is_none());
-        assert!(!back.metadata().column("country").unwrap().has_bloom_filter);
-        // Min/max zone maps still restore from the dictionaries.
-        assert!(back.metadata().column("clicks").unwrap().min.is_some());
-    }
-
-    #[test]
     fn rejects_corrupted_blob() {
         let seg = build_segment();
         let blob = serialize(&seg);
@@ -852,10 +821,16 @@ mod tests {
         let mut bad = blob.clone();
         bad[0] = b'X';
         assert!(deserialize(&bad).is_err());
-        // Bad version
-        let mut bad = blob;
-        bad[4] = 99;
-        assert!(deserialize(&bad).is_err());
+        // Any version but the current one — a future one, or the retired
+        // v1 — is a typed error before the payload is touched.
+        for version in [99u16, 1] {
+            let mut bad = blob.clone();
+            bad[4..6].copy_from_slice(&version.to_le_bytes());
+            assert!(
+                matches!(deserialize(&bad), Err(PinotError::Segment(m)) if m.contains("version")),
+                "version {version}"
+            );
+        }
     }
 
     #[test]

@@ -118,18 +118,6 @@ impl TypedVals {
         }
     }
 
-    fn value_at(&self, id: DictId) -> Value {
-        let i = id as usize;
-        match self {
-            TypedVals::Int(v) => Value::Int(v[i]),
-            TypedVals::Long(v) => Value::Long(v[i]),
-            TypedVals::Float(v) => Value::Float(v[i]),
-            TypedVals::Double(v) => Value::Double(v[i]),
-            TypedVals::Str(v) => Value::String(v[i].clone()),
-            TypedVals::Bool(v) => Value::Boolean(v[i]),
-        }
-    }
-
     /// Argsort of the distinct values by the same comparators
     /// [`Dictionary::build`] sorts with. Values are distinct, so an
     /// unstable sort is deterministic.
@@ -370,38 +358,6 @@ impl MutableColumn {
                 sv_ids: Vec::new(),
                 mv: Some((self.mv_offsets.clone(), ids)),
             }
-        }
-    }
-
-    /// Reconstruct the column's values in arrival order (legacy
-    /// snapshot-rebuild path and sealing tests).
-    pub(crate) fn values_for_rebuild(&self, rows: usize) -> Vec<Value> {
-        if self.spec.single_value {
-            self.all_sv_ids(rows)
-                .into_iter()
-                .map(|id| self.dict.vals.value_at(id))
-                .collect()
-        } else {
-            (0..rows)
-                .map(|d| {
-                    let ids =
-                        &self.mv_ids[self.mv_offsets[d] as usize..self.mv_offsets[d + 1] as usize];
-                    match &self.dict.vals {
-                        TypedVals::Int(v) => {
-                            Value::IntArray(ids.iter().map(|&i| v[i as usize]).collect())
-                        }
-                        TypedVals::Long(v) => {
-                            Value::LongArray(ids.iter().map(|&i| v[i as usize]).collect())
-                        }
-                        TypedVals::Str(v) => {
-                            Value::StringArray(ids.iter().map(|&i| v[i as usize].clone()).collect())
-                        }
-                        // Schema validation never admits other multi-value
-                        // element types.
-                        _ => Value::Null,
-                    }
-                })
-                .collect()
         }
     }
 

@@ -22,13 +22,12 @@ use pinot_common::ids::{InstanceId, SegmentName};
 use pinot_common::profile::{aggregate_segment_profiles, ProfileNode};
 use pinot_common::protocol::{CompletionInstruction, CompletionPoll};
 use pinot_common::time::Clock;
-use pinot_common::{PinotError, Result, RetryPolicy, Schema};
+use pinot_common::{EngineConfig, PinotError, Result, RetryPolicy, Schema};
 use pinot_controller::ControllerGroup;
 use pinot_exec::segment_exec::{execute_on_segment_with, IntermediateResult, SegmentHandle};
 use pinot_exec::{
-    collected_profiles, explain_segment, merge_intermediate, plan_segment, prune_default,
-    CostModel, ExecOptions, ParallelExec, PlanKind, PlannerMode, Prunable, PruneEvaluator,
-    PruneOutcome, SegmentExplain,
+    collected_profiles, explain_segment, merge_intermediate, plan_segment, CostModel, ExecOptions,
+    ParallelExec, PlanKind, Prunable, PruneEvaluator, PruneOutcome, SegmentExplain,
 };
 use pinot_obs::Obs;
 use pinot_pql::{CmpOp, Predicate, Query};
@@ -45,27 +44,6 @@ use tenancy::{TenantThrottle, TokenBucketConfig};
 
 /// Records pulled from the stream per consume tick and per segment.
 const CONSUME_BATCH: usize = 1024;
-
-/// `PINOT_INGEST_PARALLEL=0` advances consuming partitions serially on
-/// the tick thread; anything else (or unset) fans them out as one task
-/// per partition on the server's pool.
-pub fn ingest_parallel_default() -> bool {
-    static DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| std::env::var("PINOT_INGEST_PARALLEL").map_or(true, |v| v != "0"))
-}
-
-/// Backpressure cap on total buffered (unsealed) rows across one server's
-/// consuming segments — above it, fetching pauses until sealing drains
-/// the backlog. `PINOT_INGEST_MAX_BUFFERED_ROWS` overrides.
-pub fn ingest_max_buffered_rows_default() -> usize {
-    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("PINOT_INGEST_MAX_BUFFERED_ROWS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(4_000_000)
-    })
-}
 
 struct ConsumingSegment {
     mutable: Arc<MutableSegment>,
@@ -114,39 +92,12 @@ pub struct Server {
     chaos: RwLock<Arc<FaultInjector>>,
     /// Backoff for transient stream-fetch failures.
     retry: RetryPolicy,
-    /// Work-stealing pool for per-segment query execution and segment
-    /// sealing (§3.3.4); sized from `PINOT_TASKPOOL_THREADS` or the
-    /// machine's core count.
-    pool: RwLock<Arc<TaskPool>>,
-    /// Per-server override for the batched execution kernels; `None`
-    /// falls back to the `PINOT_EXEC_BATCH` env default.
-    exec_batch: RwLock<Option<bool>>,
-    /// Per-server override for the statistics-based pruning pipeline;
-    /// `None` falls back to the `PINOT_EXEC_PRUNE` env default.
-    exec_prune: RwLock<Option<bool>>,
-    /// Per-server morsel-size override for intra-segment splitting;
-    /// `None` falls back to the `PINOT_EXEC_MORSEL_DOCS` env default.
-    exec_morsel_docs: RwLock<Option<usize>>,
-    /// Per-server fan-out threshold override (estimated ns of scan work
-    /// below which a request runs inline); `None` falls back to the
-    /// `PINOT_EXEC_FANOUT_NS` env default.
-    exec_fanout_ns: RwLock<Option<u64>>,
-    /// Per-server access-path strategy override for filter leaves;
-    /// `None` falls back to the `PINOT_EXEC_PLANNER` env default.
-    exec_planner: RwLock<Option<PlannerMode>>,
-    /// Serve consuming segments from columnar consistent cuts (`true`,
-    /// the default) or the legacy rebuild-on-query snapshot (`false`,
-    /// the benchmark baseline); `None` falls back to the
-    /// `PINOT_REALTIME_COLUMNAR` env default.
-    realtime_columnar: RwLock<Option<bool>>,
-    /// Advance consuming partitions concurrently on the task pool;
-    /// `None` falls back to the `PINOT_INGEST_PARALLEL` env default.
-    ingest_parallel: RwLock<Option<bool>>,
-    /// Backpressure cap: total buffered (unsealed) rows across this
-    /// server's consuming segments above which consumption pauses until
-    /// sealing drains the backlog; `None` falls back to the
-    /// `PINOT_INGEST_MAX_BUFFERED_ROWS` env default.
-    ingest_max_buffered_rows: RwLock<Option<usize>>,
+    /// The cluster's engine configuration, resolved once at boot.
+    config: Arc<EngineConfig>,
+    /// Work-stealing pool for per-segment query execution, partition
+    /// consumption and segment sealing (§3.3.4), sized by
+    /// `config.taskpool_threads`.
+    pool: Arc<TaskPool>,
     /// Calibrated per-doc scan cost feeding the fan-out gate, refreshed
     /// from the `exec.scan_ns_per_doc` histogram every
     /// [`CALIBRATE_EVERY`] requests. Only ever affects *scheduling*
@@ -190,10 +141,19 @@ impl Server {
         streams: StreamRegistry,
         clock: Clock,
     ) -> Arc<Server> {
-        Server::with_obs(n, controllers, cluster, streams, clock, Obs::shared())
+        Server::with_obs(
+            n,
+            controllers,
+            cluster,
+            streams,
+            clock,
+            Obs::shared(),
+            Arc::default(),
+        )
     }
 
-    /// Like [`Server::new`] but sharing a cluster-wide observability sink.
+    /// Like [`Server::new`] but sharing a cluster-wide observability sink
+    /// and engine configuration.
     pub fn with_obs(
         n: usize,
         controllers: ControllerGroup,
@@ -201,9 +161,13 @@ impl Server {
         streams: StreamRegistry,
         clock: Clock,
         obs: Arc<Obs>,
+        config: Arc<EngineConfig>,
     ) -> Arc<Server> {
         let throttle = TenantThrottle::new(clock.clone(), TokenBucketConfig::default());
-        let pool = Arc::new(TaskPool::from_env(Some(Arc::clone(&obs))));
+        let pool = Arc::new(TaskPool::with_threads(
+            config.taskpool_threads,
+            Some(Arc::clone(&obs)),
+        ));
         Arc::new(Server {
             id: InstanceId::server(n),
             controllers,
@@ -215,97 +179,20 @@ impl Server {
             obs,
             chaos: RwLock::new(Arc::new(FaultInjector::new())),
             retry: RetryPolicy::default().with_seed(n as u64),
-            pool: RwLock::new(pool),
-            exec_batch: RwLock::new(None),
-            exec_prune: RwLock::new(None),
-            exec_morsel_docs: RwLock::new(None),
-            exec_fanout_ns: RwLock::new(None),
-            exec_planner: RwLock::new(None),
-            realtime_columnar: RwLock::new(None),
-            ingest_parallel: RwLock::new(None),
-            ingest_max_buffered_rows: RwLock::new(None),
+            config,
+            pool,
             exec_ns_per_doc: RwLock::new(pinot_exec::morsel::DEFAULT_NS_PER_DOC),
             exec_requests: AtomicU64::new(0),
         })
     }
 
-    /// Force the batched (`Some(true)`) or row (`Some(false)`) execution
-    /// path for this server; `None` restores the `PINOT_EXEC_BATCH`
-    /// env default. See `ClusterConfig::with_exec_batch`.
-    pub fn set_exec_batch(&self, batch: Option<bool>) {
-        *self.exec_batch.write() = batch;
-    }
-
-    /// Force the pruning pipeline on (`Some(true)`) or off
-    /// (`Some(false)`) for this server; `None` restores the
-    /// `PINOT_EXEC_PRUNE` env default. See `ClusterConfig::with_exec_prune`.
-    pub fn set_exec_prune(&self, prune: Option<bool>) {
-        *self.exec_prune.write() = prune;
-    }
-
-    /// Override the morsel size for this server's segment scans
-    /// (documents per morsel, rounded to the 1024-doc decode-block
-    /// grid); `None` restores the `PINOT_EXEC_MORSEL_DOCS` env default.
-    /// See `ClusterConfig::with_morsel_docs`.
-    pub fn set_morsel_docs(&self, docs: Option<usize>) {
-        *self.exec_morsel_docs.write() = docs;
-    }
-
-    /// Override the fan-out threshold (estimated ns of scan work below
-    /// which a request runs inline on the caller thread); `None`
-    /// restores the `PINOT_EXEC_FANOUT_NS` env default. See
-    /// `ClusterConfig::with_fanout_threshold_ns`.
-    pub fn set_fanout_threshold_ns(&self, ns: Option<u64>) {
-        *self.exec_fanout_ns.write() = ns;
-    }
-
-    /// Pin the access-path strategy for this server's filter leaves
-    /// (`auto` chooses per leaf from segment statistics; the forced
-    /// modes pin one path where its structure exists). `None` restores
-    /// the `PINOT_EXEC_PLANNER` env default. Every mode yields
-    /// byte-identical results. See `ClusterConfig::with_exec_planner`.
-    pub fn set_exec_planner(&self, mode: Option<PlannerMode>) {
-        *self.exec_planner.write() = mode;
-    }
-
-    /// Serve consuming segments from columnar cuts (`Some(true)`) or the
-    /// legacy rebuilt snapshot (`Some(false)`, the benchmark baseline);
-    /// `None` restores the `PINOT_REALTIME_COLUMNAR` env default. Both
-    /// modes yield byte-identical results.
-    pub fn set_realtime_columnar(&self, columnar: Option<bool>) {
-        *self.realtime_columnar.write() = columnar;
-    }
-
-    /// Advance consuming partitions concurrently (`Some(true)`) or
-    /// serially (`Some(false)`); `None` restores the
-    /// `PINOT_INGEST_PARALLEL` env default. Per-partition ordering is
-    /// preserved either way — one task per consuming segment.
-    pub fn set_ingest_parallel(&self, parallel: Option<bool>) {
-        *self.ingest_parallel.write() = parallel;
-    }
-
-    /// Override the ingestion backpressure cap (total buffered rows
-    /// across consuming segments); `None` restores the
-    /// `PINOT_INGEST_MAX_BUFFERED_ROWS` env default.
-    pub fn set_ingest_max_buffered_rows(&self, rows: Option<usize>) {
-        *self.ingest_max_buffered_rows.write() = rows;
-    }
-
-    fn realtime_columnar(&self) -> bool {
-        (*self.realtime_columnar.read()).unwrap_or_else(pinot_segment::realtime_columnar_default)
-    }
-
-    /// Cut (or legacy-rebuild) view of a consuming segment for queries,
-    /// with the `realtime.query_cut_rows` counter.
+    /// A consistent cut of a consuming segment for queries, with the
+    /// `realtime.query_cut_rows` counter.
     fn consuming_view(
         &self,
         consuming: &ConsumingSegment,
     ) -> Result<Arc<pinot_segment::ImmutableSegment>> {
-        let view = if self.realtime_columnar() {
-            consuming.mutable.cut()?
-        } else {
-            consuming.mutable.snapshot_rebuild()?
-        };
+        let view = consuming.mutable.cut()?;
         self.obs
             .metrics
             .counter_add("realtime.query_cut_rows", view.num_docs() as u64);
@@ -316,8 +203,7 @@ impl Server {
     pub fn cost_model(&self) -> CostModel {
         CostModel {
             ns_per_doc: *self.exec_ns_per_doc.read(),
-            fanout_threshold_ns: (*self.exec_fanout_ns.read())
-                .unwrap_or_else(pinot_exec::morsel::fanout_ns_default),
+            fanout_threshold_ns: self.config.fanout_threshold_ns,
         }
     }
 
@@ -337,15 +223,9 @@ impl Server {
         }
     }
 
-    /// Replace the execution pool (tests and benchmarks pin the worker
-    /// count this way; see `ClusterConfig::with_taskpool_threads`).
-    pub fn set_task_pool(&self, pool: Arc<TaskPool>) {
-        *self.pool.write() = pool;
-    }
-
     /// The pool executing this server's segment tasks.
     pub fn task_pool(&self) -> Arc<TaskPool> {
-        Arc::clone(&self.pool.read())
+        Arc::clone(&self.pool)
     }
 
     /// Install a shared fault injector (chaos tests); the default injector
@@ -557,9 +437,7 @@ impl Server {
         // rows, pause fetching this tick. Completion steps still run, so
         // segments past their end criteria seal and drain the backlog.
         let buffered: usize = work.iter().map(|(_, _, c)| c.mutable.num_rows()).sum();
-        let max_buffered = (*self.ingest_max_buffered_rows.read())
-            .unwrap_or_else(ingest_max_buffered_rows_default);
-        let paused = buffered >= max_buffered;
+        let paused = buffered >= self.config.ingest_max_buffered_rows;
         if paused {
             self.obs
                 .metrics
@@ -568,15 +446,13 @@ impl Server {
 
         // One task per consuming segment: partitions advance concurrently
         // while each partition's appends stay ordered (a segment is only
-        // ever ticked by its own task).
+        // ever ticked by its own task). A one-thread pool runs them in
+        // order; a lone segment skips the pool.
         let started = std::time::Instant::now();
-        let parallel = (*self.ingest_parallel.read()).unwrap_or_else(ingest_parallel_default)
-            && work.len() > 1;
-        let ingested = if parallel {
-            let pool = self.task_pool();
+        let ingested = if work.len() > 1 {
             let slots: Vec<Mutex<Option<Result<usize>>>> =
                 work.iter().map(|_| Default::default()).collect();
-            pool.scope(|scope| {
+            self.pool.scope(|scope| {
                 for ((qualified, segment, consuming), slot) in work.iter().zip(&slots) {
                     scope.spawn(move || {
                         *slot.lock() =
@@ -592,11 +468,8 @@ impl Server {
             }
             total
         } else {
-            let mut total = 0usize;
-            for (qualified, segment, consuming) in &work {
-                total += self.tick_segment(qualified, segment, consuming, paused)?;
-            }
-            total
+            let (qualified, segment, consuming) = &work[0];
+            self.tick_segment(qualified, segment, consuming, paused)?
         };
 
         let chunks: u64 = work
@@ -819,7 +692,6 @@ impl Server {
         qualified: &str,
         consuming: &Arc<ConsumingSegment>,
     ) -> Result<pinot_segment::ImmutableSegment> {
-        let pool = self.task_pool();
         let cfg = self.with_table(qualified, |state| {
             let mut cfg = BuilderConfig::new("", "");
             if let Some(sorted) = &state.config.indexing.sorted_column {
@@ -846,7 +718,7 @@ impl Server {
         // up another consuming segment's tick task, and if that task
         // completes it takes `tables.write()` on this very thread — a
         // self-deadlock if we were still holding the read lock here.
-        consuming.mutable.seal_with_pool(cfg, Some(&pool))
+        consuming.mutable.seal_with_pool(cfg, Some(&self.pool))
     }
 
     // ---- query execution ----
@@ -890,7 +762,7 @@ impl Server {
             Ok(state.schema.time_column().map(|tc| tc.name.clone()))
         })?;
         let evaluator = PruneEvaluator::new(time_column);
-        let prune_on = (*self.exec_prune.read()).unwrap_or_else(prune_default);
+        let prune_on = self.config.prune;
         let exec_started = std::time::Instant::now();
         let queue_ns = exec_started.duration_since(entered).as_nanos() as u64;
         self.obs
@@ -944,8 +816,8 @@ impl Server {
                 // segment order, so the merged result is byte-identical no
                 // matter how many workers the pool has or which of them ran
                 // which task.
-                let pool = self.task_pool();
-                let parallel = ParallelExec::new(Arc::clone(&pool))
+                let pool = &self.pool;
+                let parallel = ParallelExec::new(Arc::clone(pool))
                     .with_deadline(deadline.clone())
                     .with_cost(cost)
                     .with_chaos(
@@ -1179,14 +1051,11 @@ impl Server {
         let query: &Query = stripped.as_ref().unwrap_or(&req.query);
         let seg_started = std::time::Instant::now();
         let opts = ExecOptions {
-            batch: *self.exec_batch.read(),
-            prune: Some(prune_on),
+            config: Arc::clone(&self.config),
             obs: Some(Arc::clone(&self.obs)),
             profile: req.profile,
             analyze: req.analyze,
-            morsel_docs: *self.exec_morsel_docs.read(),
             parallel: parallel.cloned(),
-            planner: *self.exec_planner.read(),
         };
         let partial = execute_on_segment_with(&handle, query, &opts)?;
         self.obs.metrics.observe_ms(
@@ -1202,10 +1071,7 @@ impl Server {
     /// predicate order, kernel — without executing anything.
     pub fn explain_segments(&self, table: &str, query: &Query) -> Result<Vec<SegmentExplain>> {
         let opts = ExecOptions {
-            batch: *self.exec_batch.read(),
-            prune: Some((*self.exec_prune.read()).unwrap_or_else(prune_default)),
-            morsel_docs: *self.exec_morsel_docs.read(),
-            planner: *self.exec_planner.read(),
+            config: Arc::clone(&self.config),
             ..ExecOptions::default()
         };
         self.with_table(table, |state| {

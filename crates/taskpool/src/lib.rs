@@ -19,9 +19,10 @@
 //!   broker's scatter deadline; a queued task whose deadline has already
 //!   passed is abandoned without running (counted in
 //!   `taskpool.tasks_cancelled`), because nobody is waiting for it;
-//! * **deterministic single-thread mode** — `PINOT_TASKPOOL_THREADS=1`
-//!   gives one worker and strict FIFO execution, so tests can compare the
-//!   parallel path against a deterministic schedule.
+//! * **deterministic single-thread mode** — a pool of one thread
+//!   (`EngineConfig::taskpool_threads`) gives one worker and strict FIFO
+//!   execution, so tests can compare the parallel path against a
+//!   deterministic schedule.
 //!
 //! Waiting scopes *help*: while a scope has pending tasks the waiting
 //! thread executes pool work instead of blocking, which keeps nested
@@ -40,10 +41,6 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
-
-/// Environment variable overriding the worker count (`1` = deterministic
-/// single-thread mode; unset = `available_parallelism`).
-pub const THREADS_ENV: &str = "PINOT_TASKPOOL_THREADS";
 
 /// How many extra jobs a worker moves from the injector into its own deque
 /// per refill, beyond the one it runs immediately. Small enough that idle
@@ -296,22 +293,6 @@ impl TaskPool {
             started: AtomicBool::new(false),
             start_lock: StdMutex::new(()),
             handles: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Pool sized from `PINOT_TASKPOOL_THREADS`, falling back to
-    /// `available_parallelism`.
-    pub fn from_env(obs: Option<Arc<Obs>>) -> TaskPool {
-        TaskPool::with_threads(Self::default_threads(), obs)
-    }
-
-    /// The worker count [`TaskPool::from_env`] would use.
-    pub fn default_threads() -> usize {
-        match std::env::var(THREADS_ENV) {
-            Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
-            Err(_) => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
         }
     }
 
@@ -792,15 +773,6 @@ mod tests {
         });
         assert_eq!(count.load(Ordering::SeqCst), 256);
         assert_eq!(pool.tasks_run(), 256);
-    }
-
-    #[test]
-    fn env_sizing_defaults() {
-        // Not asserting on the env var itself (tests run in parallel);
-        // just that the fallback is sane.
-        assert!(TaskPool::default_threads() >= 1);
-        let pool = TaskPool::from_env(None);
-        assert!(pool.threads() >= 1);
     }
 
     #[test]
