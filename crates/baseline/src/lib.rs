@@ -19,6 +19,8 @@
 //! Like the Pinot side of the evaluation, realtime ingestion is disabled
 //! (the paper disabled it for both systems).
 
+pub mod reference;
+
 use pinot_common::query::{QueryRequest, QueryResponse};
 use pinot_common::{PinotError, Record, Result, Schema};
 use pinot_exec::segment_exec::{execute_on_segment, IntermediateResult, SegmentHandle};

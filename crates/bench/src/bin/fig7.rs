@@ -96,9 +96,8 @@ fn main() {
         }
     }
 
-    let mut json_rows = Vec::new();
-    for (i, (label, n)) in configs.iter().enumerate() {
-        let (cluster, n) = (&clusters[i], *n);
+    for (i, (label, _)) in configs.iter().enumerate() {
+        let cluster = &clusters[i];
         let engine = pinot_bench::harness::PinotEngine {
             cluster: Arc::clone(cluster),
             label: label.clone(),
@@ -114,23 +113,5 @@ fn main() {
             hist.max(),
         );
         println!("  pool metrics:\n{}", pool_metrics(cluster));
-        json_rows.push(format!(
-            "    \"{}\": {{\"threads\": {n}, \"avg_ms\": {:.4}, \"p50_ms\": {:.4}, \"p90_ms\": {:.4}, \"p99_ms\": {:.4}, \"max_ms\": {:.4}}}",
-            engine.name(),
-            hist.mean(),
-            hist.p50(),
-            hist.quantile(0.90),
-            hist.p99(),
-            hist.max(),
-        ));
     }
-
-    // Machine-readable trajectory artifact at the repo root (ISSUE 4).
-    let body = format!(
-        "{{\n  \"rows\": {num_rows},\n  \"segments\": {SEGMENTS},\n  \"queries\": {num_queries},\n  \"engines\": {{\n{}\n  }}\n}}\n",
-        json_rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fig7.json");
-    std::fs::write(path, body).expect("write BENCH_fig7.json");
-    println!("# wrote {path}");
 }

@@ -672,11 +672,7 @@ impl Broker {
                     .unwrap_or(0);
             }
         }
-        let plan = if self.config.prune {
-            self.prune_plan(table, query, plan, &mut skips)
-        } else {
-            plan
-        };
+        let plan = self.prune_plan(table, query, plan, &mut skips);
 
         let num_servers = plan.len() as u64;
         self.obs

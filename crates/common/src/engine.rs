@@ -77,14 +77,6 @@ pub struct EngineConfig {
     /// `1` gives one worker and strict FIFO execution, the deterministic
     /// schedule the parallel path is compared against.
     pub taskpool_threads: usize,
-    /// `PINOT_EXEC_BATCH` — use the batched (vectorized) kernels where
-    /// they apply. Default on. Off runs the row-at-a-time kernels, the
-    /// reference side of the differential suite; both are byte-identical.
-    pub batch: bool,
-    /// `PINOT_EXEC_PRUNE` — evaluate zone maps, bloom filters and time
-    /// bounds before scatter (broker) and before planning (server).
-    /// Default on. Off is the differential suite's reference.
-    pub prune: bool,
     /// `PINOT_EXEC_PLANNER` — access-path strategy for filter leaves:
     /// `auto` (default) | `scan` | `inverted` | `sorted`. The forced
     /// modes exist for EXPLAIN debugging and the strategy-matrix tests.
@@ -130,8 +122,6 @@ impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
             taskpool_threads: host_parallelism(),
-            batch: true,
-            prune: true,
             planner: PlannerMode::Auto,
             morsel_docs: DEFAULT_MORSEL_DOCS,
             fanout_threshold_ns: DEFAULT_FANOUT_NS,
@@ -189,8 +179,6 @@ impl EngineConfig {
                 d.taskpool_threads,
             )?
             .max(1),
-            batch: knob(env, "PINOT_EXEC_BATCH", "0 or 1", flag, d.batch)?,
-            prune: knob(env, "PINOT_EXEC_PRUNE", "0 or 1", flag, d.prune)?,
             planner: knob(
                 env,
                 "PINOT_EXEC_PLANNER",
@@ -244,15 +232,13 @@ mod tests {
         fn(&mut EngineConfig),
         &'static str,
     );
-    const KNOBS: [Knob; 10] = [
+    const KNOBS: [Knob; 8] = [
         (
             "PINOT_TASKPOOL_THREADS",
             "0",
             |c| c.taskpool_threads = 1,
             "abc",
         ),
-        ("PINOT_EXEC_BATCH", "0", |c| c.batch = false, "false"),
-        ("PINOT_EXEC_PRUNE", "0", |c| c.prune = false, ""),
         (
             "PINOT_EXEC_PLANNER",
             "inverted",
@@ -277,7 +263,7 @@ mod tests {
             |c| c.ingest_max_buffered_rows = 250_000,
             "1e6",
         ),
-        ("PINOT_EXEC_HEDGE", "0", |c| c.hedge = false, "false"),
+        ("PINOT_EXEC_HEDGE", "0", |c| c.hedge = false, ""),
         ("PINOT_EXEC_ADMISSION", "0", |c| c.admission = false, "off"),
         (
             "PINOT_EXEC_RESULT_CACHE",
@@ -292,7 +278,7 @@ mod tests {
         let c = EngineConfig::from_lookup(|_| None).unwrap();
         assert_eq!(c, EngineConfig::default());
         assert!(c.taskpool_threads >= 1);
-        assert!(c.batch && c.prune && c.hedge && c.admission && !c.result_cache);
+        assert!(c.hedge && c.admission && !c.result_cache);
         assert_eq!(c.planner, PlannerMode::Auto);
         assert_eq!(c.morsel_docs, 65_536);
         assert_eq!(c.fanout_threshold_ns, 2_000_000);

@@ -37,8 +37,6 @@ pub struct ProfileNode {
     /// Prune attribution when the segment was skipped:
     /// `time` | `zonemap` | `bloom` | `stats` | `broker` | `partition`.
     pub prune: Option<&'static str>,
-    /// Kernel choice for scan/aggregate work: `batch` | `row`.
-    pub kernel: Option<&'static str>,
     pub docs_in: u64,
     pub docs_out: u64,
     pub blocks_decoded: u64,
@@ -78,15 +76,8 @@ impl ProfileNode {
     }
 
     /// Key that decides which children merge with each other when folding.
-    fn fold_key(
-        &self,
-    ) -> (
-        &'static str,
-        Option<&'static str>,
-        Option<&'static str>,
-        Option<&'static str>,
-    ) {
-        (self.operator, self.plan_kind, self.prune, self.kernel)
+    fn fold_key(&self) -> (&'static str, Option<&'static str>, Option<&'static str>) {
+        (self.operator, self.plan_kind, self.prune)
     }
 
     fn strip_names(&mut self) {
@@ -97,7 +88,7 @@ impl ProfileNode {
     }
 
     /// Fold `other` into `self`, summing all counters and recursively
-    /// merging children that share (operator, plan_kind, prune, kernel).
+    /// merging children that share (operator, plan_kind, prune).
     /// Instance names are dropped — a folded node is a summary. Children
     /// are kept sorted by fold key, which makes folding associative and
     /// commutative (see the proptests in pinot-exec).
@@ -181,9 +172,6 @@ impl ProfileNode {
         if let Some(p) = self.prune {
             pairs.push(("prune", p.into()));
         }
-        if let Some(k) = self.kernel {
-            pairs.push(("kernel", k.into()));
-        }
         pairs.push(("docs_in", self.docs_in.into()));
         pairs.push(("docs_out", self.docs_out.into()));
         pairs.push(("blocks_decoded", self.blocks_decoded.into()));
@@ -214,9 +202,6 @@ impl ProfileNode {
         }
         if let Some(p) = self.prune {
             attrs.push(format!("prune={p}"));
-        }
-        if let Some(k) = self.kernel {
-            attrs.push(format!("kernel={k}"));
         }
         if self.segments > 1 {
             attrs.push(format!("segments={}", self.segments));
@@ -268,7 +253,7 @@ impl QueryProfile {
 
 /// Server-side aggregation of per-segment profile trees: the `keep_exact`
 /// slowest segments stay as exact per-segment nodes; the rest fold into
-/// `segments_summary` nodes, one per (plan_kind, prune, kernel) shape so
+/// `segments_summary` nodes, one per (plan_kind, prune) shape so
 /// prune attribution survives the folding. Returns the kept nodes
 /// slowest-first followed by the summaries in fold-key order.
 pub fn aggregate_segment_profiles(
@@ -283,17 +268,16 @@ pub fn aggregate_segment_profiles(
     let rest = nodes.split_off(keep_exact.min(nodes.len()));
     let mut summaries: Vec<ProfileNode> = Vec::new();
     for node in &rest {
-        let shape = (node.plan_kind, node.prune, node.kernel);
+        let shape = (node.plan_kind, node.prune);
         match summaries
             .iter_mut()
-            .find(|s| (s.plan_kind, s.prune, s.kernel) == shape)
+            .find(|s| (s.plan_kind, s.prune) == shape)
         {
             Some(s) => s.fold(node),
             None => {
                 let mut s = ProfileNode::summary("segments_summary");
                 s.plan_kind = node.plan_kind;
                 s.prune = node.prune;
-                s.kernel = node.kernel;
                 s.fold(node);
                 summaries.push(s);
             }
@@ -320,7 +304,6 @@ mod tests {
         filter.docs_out = 40;
         filter.elapsed_ns = filter_ns;
         let mut scan = ProfileNode::new("aggregate");
-        scan.kernel = Some("batch");
         scan.docs_in = 40;
         scan.docs_out = 1;
         scan.blocks_decoded = 2;
@@ -390,7 +373,6 @@ mod tests {
             "\"segments\"",
             "\"children\"",
             "\"plan_kind\"",
-            "\"kernel\"",
         ] {
             assert!(text.contains(field), "missing {field} in {text}");
         }
@@ -440,6 +422,6 @@ mod tests {
         let text = seg.render_text();
         assert!(text.contains("segment s1"));
         assert!(text.contains("filter"));
-        assert!(text.contains("kernel=batch"));
+        assert!(text.contains("aggregate [docs=40→1 blocks=2"));
     }
 }

@@ -526,9 +526,9 @@ impl PinotCluster {
     ///
     /// `EXPLAIN PLAN FOR <query>` renders every hosted segment's plan
     /// decisions — prune verdict with level attribution, chosen plan kind,
-    /// predicate evaluation order, batch-vs-row kernel — without executing
-    /// anything. `EXPLAIN ANALYZE <query>` executes with profiling and
-    /// renders the measured per-operator tree plus the execution stats.
+    /// predicate evaluation order — without executing anything. `EXPLAIN
+    /// ANALYZE <query>` executes with profiling and renders the measured
+    /// per-operator tree plus the execution stats.
     /// Hybrid tables produce one section per physical table, each on the
     /// unrewritten query (the time-boundary rewrite happens only when the
     /// query actually executes).

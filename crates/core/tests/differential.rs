@@ -2,24 +2,23 @@
 //!
 //! A seeded generator builds one synthetic table and a few hundred PQL
 //! queries covering selections, filters over dimensions/metrics/time,
-//! group-bys, top-n, and multi-value columns. Every query runs against
-//! both
+//! group-bys, top-n, and multi-value columns. Every query runs through
+//! the full Pinot cluster (broker parse → route → prune → scatter →
+//! server taskpool fan-out → merge → finalize) and its answer must equal
+//! what the reference interpreter (`pinot_baseline::reference`) computes
+//! from the raw rows — an oracle that shares no segment, index, planner,
+//! pruning or merge code with the engine. Metrics are integer-valued so
+//! f64 aggregation is exact regardless of merge order, making exact
+//! equality meaningful.
 //!
-//! * the full Pinot cluster (broker parse → route → scatter → server
-//!   taskpool fan-out → merge → finalize), and
-//! * the baseline engine (`pinot-baseline`'s Druid-style historicals),
-//!
-//! and the results must agree. Metrics are integer-valued so f64
-//! aggregation is exact regardless of merge order, making exact
-//! cross-engine equality meaningful.
-//!
-//! A second suite re-runs the same queries on 1-thread vs N-thread task
-//! pools and demands *byte-identical* results — the taskpool's
-//! slot-ordered merge guarantee. A proptest checks the underlying
-//! algebra: merging aggregation states is associative/commutative versus
-//! a sequential fold oracle.
+//! Beside the oracle suites, matrices re-run the same queries across
+//! thread counts, morsel schedules and planner modes and demand
+//! *byte-identical* results among the cells — the taskpool's slot-ordered
+//! merge guarantee. A proptest checks the underlying algebra: merging
+//! aggregation states is associative/commutative versus a sequential
+//! fold oracle.
 
-use pinot_baseline::DruidEngine;
+use pinot_baseline::reference;
 use pinot_common::config::TableConfig;
 use pinot_common::query::{QueryRequest, QueryResponse, QueryResult};
 use pinot_common::{DataType, FieldSpec, Record, Schema, TimeUnit, Value};
@@ -233,10 +232,10 @@ fn gen_query(rng: &mut StdRng) -> String {
 
 // ---- comparison ----
 
-/// Selection rows are compared as unordered multisets: engines visit
-/// segments in different orders and neither order is part of the contract.
-/// Aggregations and group-bys come out of the shared `finalize` in a
-/// deterministic order and are compared verbatim.
+/// Selection rows are compared as unordered multisets: the cluster visits
+/// segments in an order that is not part of the contract. Aggregations
+/// and group-bys have one defined order (value descending, ties by key)
+/// and are compared verbatim.
 fn normalize(result: &QueryResult) -> QueryResult {
     match result {
         QueryResult::Selection { columns, rows } => {
@@ -251,16 +250,21 @@ fn normalize(result: &QueryResult) -> QueryResult {
     }
 }
 
-fn assert_same(pql: &str, pinot: &QueryResponse, baseline: &QueryResponse) {
+/// The cluster's answer must be complete and equal the interpreter's
+/// over the same rows.
+fn assert_matches_reference(label: &str, pql: &str, got: &QueryResponse, rows: &[Record]) {
     assert!(
-        !pinot.partial && pinot.exceptions.is_empty(),
-        "pinot returned partial/failed for {pql}: {:?}",
-        pinot.exceptions
+        !got.partial && got.exceptions.is_empty(),
+        "{label}: partial/failed for {pql}: {:?}",
+        got.exceptions
     );
+    let query = pinot_pql::parse(pql).unwrap();
+    let want = reference::evaluate(&schema(), rows, &query)
+        .unwrap_or_else(|e| panic!("{label}: reference failed on {pql}: {e}"));
     assert_eq!(
-        normalize(&pinot.result),
-        normalize(&baseline.result),
-        "engines disagree on {pql}"
+        normalize(&got.result),
+        normalize(&want),
+        "{label}: engine disagrees with the reference on {pql}"
     );
 }
 
@@ -279,30 +283,22 @@ fn start_cluster(rows: &[Record], threads: Option<usize>) -> PinotCluster {
     cluster
 }
 
-/// ≥200 seeded cases: the full Pinot stack vs the baseline engine on the
-/// same generated table.
+/// ≥200 seeded cases: the full Pinot stack (3 servers, replication 2) vs
+/// the reference interpreter on the same generated table.
 #[test]
-fn pinot_matches_baseline_on_generated_queries() {
+fn pinot_matches_reference_on_generated_queries() {
     const SEEDS: &[u64] = &[11, 23, 57, 91];
     const QUERIES_PER_SEED: usize = 60;
 
     for &seed in SEEDS {
         let rows = gen_rows(seed);
         let cluster = start_cluster(&rows, None);
-        let mut baseline = DruidEngine::new(3);
-        baseline
-            .load_table(TABLE, schema(), rows, ROWS_PER_SEGMENT)
-            .unwrap();
 
         let mut rng = StdRng::seed_from_u64(seed ^ 0xd1f);
         for case in 0..QUERIES_PER_SEED {
             let pql = gen_query(&mut rng);
-            let req = QueryRequest::new(&pql);
-            let pinot = cluster.execute(&req);
-            let druid = baseline
-                .execute(&req)
-                .unwrap_or_else(|e| panic!("baseline failed seed {seed} case {case} {pql}: {e}"));
-            assert_same(&pql, &pinot, &druid);
+            let got = cluster.execute(&QueryRequest::new(&pql));
+            assert_matches_reference(&format!("seed {seed} case {case}"), &pql, &got, &rows);
         }
     }
 }
@@ -352,13 +348,13 @@ fn parallel_results_are_byte_identical_to_single_thread() {
     assert!(snap.histogram("server.exec.segment_ms").is_some());
 }
 
-/// Morsel determinism matrix (ISSUE 8): {1, 2, 4, 8} threads ×
-/// {row, batch} kernels, with 1024-doc morsels forced on a corpus big
-/// enough that every broad selection splits into several morsels per
-/// segment. Every cell must agree *byte-for-byte* with the
-/// 1-thread/row-path reference cell — results verbatim, and the
-/// deterministic `ExecutionStats` totals too — so neither thread count,
-/// morsel scheduling, nor the kernel choice is observable.
+/// Morsel determinism matrix (ISSUE 8): {1, 2, 4, 8} threads with
+/// 1024-doc morsels forced on a corpus big enough that every broad
+/// selection splits into several morsels per segment. The 1-thread cell
+/// must match the reference interpreter, and every other cell must agree
+/// with it *byte-for-byte* — results verbatim, and the deterministic
+/// `ExecutionStats` totals too — so neither thread count nor morsel
+/// scheduling is observable.
 #[test]
 fn morsel_thread_matrix_is_byte_identical() {
     const SEED: u64 = 8;
@@ -369,10 +365,9 @@ fn morsel_thread_matrix_is_byte_identical() {
     const SEG_ROWS: usize = 2400;
 
     let rows = gen_rows_n(SEED, ROWS);
-    let build = |threads: usize, batch: bool| {
+    let build = |threads: usize| {
         let mut config = ClusterConfig::default().with_servers(1);
         config.engine.taskpool_threads = threads;
-        config.engine.batch = batch;
         // Force multi-morsel execution regardless of the calibrated
         // cost model: gate open, morsels at the minimum block size.
         config.engine.fanout_threshold_ns = 0;
@@ -392,237 +387,186 @@ fn morsel_thread_matrix_is_byte_identical() {
         (0..CASES).map(|_| gen_query(&mut rng)).collect()
     };
 
-    let reference = build(1, false);
+    let reference = build(1);
     let ref_responses: Vec<QueryResponse> = queries
         .iter()
         .map(|pql| reference.execute(&QueryRequest::new(pql)))
         .collect();
     for (pql, resp) in queries.iter().zip(&ref_responses) {
-        assert!(
-            !resp.partial && resp.exceptions.is_empty(),
-            "reference cell failed {pql}: {:?}",
-            resp.exceptions
-        );
+        assert_matches_reference("morsel cell t=1", pql, resp, &rows);
     }
 
-    for &threads in &[1usize, 2, 4, 8] {
-        for &batch in &[false, true] {
-            if threads == 1 && !batch {
-                continue; // the reference cell itself
-            }
-            let cell = build(threads, batch);
-            for (pql, reference) in queries.iter().zip(&ref_responses) {
-                let got = cell.execute(&QueryRequest::new(pql));
-                assert!(
-                    !got.partial && got.exceptions.is_empty(),
-                    "cell t={threads} batch={batch} failed {pql}: {:?}",
-                    got.exceptions
-                );
-                // Verbatim equality: same rows, same order, same floats.
-                assert_eq!(
-                    got.result, reference.result,
-                    "t={threads} batch={batch} observable via {pql}"
-                );
-                // The deterministic stats totals must agree across the
-                // whole matrix too — morsels may change *scheduling*, not
-                // what was scanned.
-                assert_eq!(
-                    got.stats.num_docs_scanned, reference.stats.num_docs_scanned,
-                    "docs-scanned drift t={threads} batch={batch} on {pql}"
-                );
-                assert_eq!(
-                    got.stats.num_entries_scanned_in_filter,
-                    reference.stats.num_entries_scanned_in_filter,
-                    "filter-entries drift t={threads} batch={batch} on {pql}"
-                );
-                assert_eq!(
-                    got.stats.num_entries_scanned_post_filter,
-                    reference.stats.num_entries_scanned_post_filter,
-                    "post-filter-entries drift t={threads} batch={batch} on {pql}"
-                );
-                assert_eq!(
-                    got.stats.total_docs, reference.stats.total_docs,
-                    "total-docs drift t={threads} batch={batch} on {pql}"
-                );
-            }
-            // Each cell genuinely split work into morsels — the matrix is
-            // meaningless if everything quietly took the single-morsel path.
-            let snap = cell.metrics_snapshot();
+    for &threads in &[2usize, 4, 8] {
+        let cell = build(threads);
+        for (pql, reference) in queries.iter().zip(&ref_responses) {
+            let got = cell.execute(&QueryRequest::new(pql));
             assert!(
-                snap.counter("exec.morsels_split") > 0,
-                "cell t={threads} batch={batch} never fanned morsels out"
+                !got.partial && got.exceptions.is_empty(),
+                "cell t={threads} failed {pql}: {:?}",
+                got.exceptions
+            );
+            // Verbatim equality: same rows, same order, same floats.
+            assert_eq!(
+                got.result, reference.result,
+                "t={threads} observable via {pql}"
+            );
+            // The deterministic stats totals must agree across the
+            // whole matrix too — morsels may change *scheduling*, not
+            // what was scanned.
+            assert_eq!(
+                got.stats.num_docs_scanned, reference.stats.num_docs_scanned,
+                "docs-scanned drift t={threads} on {pql}"
+            );
+            assert_eq!(
+                got.stats.num_entries_scanned_in_filter,
+                reference.stats.num_entries_scanned_in_filter,
+                "filter-entries drift t={threads} on {pql}"
+            );
+            assert_eq!(
+                got.stats.num_entries_scanned_post_filter,
+                reference.stats.num_entries_scanned_post_filter,
+                "post-filter-entries drift t={threads} on {pql}"
+            );
+            assert_eq!(
+                got.stats.total_docs, reference.stats.total_docs,
+                "total-docs drift t={threads} on {pql}"
             );
         }
+        // Each cell genuinely split work into morsels — the matrix is
+        // meaningless if everything quietly took the single-morsel path.
+        let snap = cell.metrics_snapshot();
+        assert!(
+            snap.counter("exec.morsels_split") > 0,
+            "cell t={threads} never fanned morsels out"
+        );
     }
 }
 
-/// Batched vs row-at-a-time execution (ISSUE 4): the dict-id block
-/// kernels must be *byte-identical* to the legacy row path — same rows,
-/// same group order, same float accumulation order — across ≥240
-/// generated queries, on both a sequential and a multi-thread pool.
+/// The block kernels (ISSUE 4) against the reference interpreter: ≥240
+/// generated queries — multi-value filters, group columns and
+/// projections and grouped DISTINCTCOUNT among them — on one server,
+/// with both a sequential and a multi-thread pool.
 #[test]
-fn batch_results_are_byte_identical_to_row_path() {
+fn block_kernels_match_reference() {
     const SEEDS: &[u64] = &[11, 23, 57, 91];
     const QUERIES_PER_SEED: usize = 60;
 
     for &threads in &[1usize, 4] {
         for &seed in SEEDS {
             let rows = gen_rows(seed);
-            let build = |batch: bool| {
-                let mut config = ClusterConfig::default().with_servers(1);
-                config.engine.taskpool_threads = threads;
-                config.engine.batch = batch;
-                config.num_controllers = 1;
-                let c = PinotCluster::start(config).unwrap();
-                c.create_table(TableConfig::offline(TABLE), schema())
-                    .unwrap();
-                for chunk in rows.chunks(ROWS_PER_SEGMENT) {
-                    c.upload_rows(TABLE, chunk.to_vec()).unwrap();
-                }
-                c
-            };
-            let batched = build(true);
-            let row = build(false);
+            let mut config = ClusterConfig::default().with_servers(1);
+            config.engine.taskpool_threads = threads;
+            config.num_controllers = 1;
+            let cluster = PinotCluster::start(config).unwrap();
+            cluster
+                .create_table(TableConfig::offline(TABLE), schema())
+                .unwrap();
+            for chunk in rows.chunks(ROWS_PER_SEGMENT) {
+                cluster.upload_rows(TABLE, chunk.to_vec()).unwrap();
+            }
 
             let mut rng = StdRng::seed_from_u64(seed ^ 0xba7c);
             for case in 0..QUERIES_PER_SEED {
                 let pql = gen_query(&mut rng);
-                let req = QueryRequest::new(&pql);
-                let b = batched.execute(&req);
-                let r = row.execute(&req);
-                assert!(
-                    !b.partial && b.exceptions.is_empty(),
-                    "batched partial/failed seed {seed} case {case} {pql}: {:?}",
-                    b.exceptions
-                );
-                // Verbatim equality, stats included below: the batch
-                // kernels must be unobservable except in speed.
-                assert_eq!(
-                    b.result, r.result,
-                    "batch path observable via seed {seed} case {case} {pql}"
-                );
-                assert_eq!(
-                    b.stats.num_docs_scanned, r.stats.num_docs_scanned,
-                    "docs-scanned drift on {pql}"
-                );
-                assert_eq!(
-                    b.stats.num_entries_scanned_in_filter, r.stats.num_entries_scanned_in_filter,
-                    "filter-entries drift on {pql}"
-                );
-                assert_eq!(
-                    b.stats.num_entries_scanned_post_filter,
-                    r.stats.num_entries_scanned_post_filter,
-                    "post-filter-entries drift on {pql}"
+                let got = cluster.execute(&QueryRequest::new(&pql));
+                assert_matches_reference(
+                    &format!("t={threads} seed {seed} case {case}"),
+                    &pql,
+                    &got,
+                    &rows,
                 );
             }
-
-            // The clusters really did run different engines, and the
-            // batch kernels emitted their obs counters.
-            let bsnap = batched.metrics_snapshot();
-            assert!(bsnap.counter("exec.batch_segments") > 0);
-            assert!(bsnap.counter("exec.blocks_decoded") > 0);
-            let rsnap = row.metrics_snapshot();
-            assert!(rsnap.counter("exec.row_segments") > 0);
-            assert_eq!(rsnap.counter("exec.blocks_decoded"), 0);
+            assert!(cluster.metrics_snapshot().counter("exec.blocks_decoded") > 0);
         }
     }
 }
 
-/// Zone-map/bloom pruning (ISSUE 5): with pruning forced on vs off, every
-/// generated query must return *byte-identical* results — pruning may only
-/// skip work the filter provably makes irrelevant — and the stats must stay
-/// consistent: the same segments queried, with
-/// `queried == processed + pruned` holding at every setting.
+/// Zone-map/bloom/time pruning (ISSUE 5) against the reference
+/// interpreter: pruning may only skip work the filter provably makes
+/// irrelevant, so every generated query — the generator emits
+/// out-of-range days and absent countries on purpose — must still match
+/// the oracle, with `queried == processed + pruned` holding throughout.
 #[test]
-fn prune_results_are_byte_identical_to_unpruned() {
+fn pruned_results_match_reference() {
     const SEEDS: &[u64] = &[11, 23, 57, 91];
     const QUERIES_PER_SEED: usize = 60;
 
     for &seed in SEEDS {
         let rows = gen_rows(seed);
-        // One server: multi-server gather appends selection rows in
-        // completion order, which is timing-dependent with or without
-        // pruning; per-server slot-ordered merge is deterministic, which
-        // is what makes byte-identity a meaningful contract here.
-        let build = |prune: bool| {
-            let mut config = ClusterConfig::default().with_servers(1);
-            config.engine.taskpool_threads = 2;
-            config.engine.prune = prune;
-            config.num_controllers = 1;
-            let c = PinotCluster::start(config).unwrap();
-            c.create_table(
+        let mut config = ClusterConfig::default().with_servers(1);
+        config.engine.taskpool_threads = 2;
+        config.num_controllers = 1;
+        let cluster = PinotCluster::start(config).unwrap();
+        cluster
+            .create_table(
                 TableConfig::offline(TABLE).with_bloom_filters(&["country", "device"]),
                 schema(),
             )
             .unwrap();
-            for chunk in rows.chunks(ROWS_PER_SEGMENT) {
-                c.upload_rows(TABLE, chunk.to_vec()).unwrap();
-            }
-            c
+        for chunk in rows.chunks(ROWS_PER_SEGMENT) {
+            cluster.upload_rows(TABLE, chunk.to_vec()).unwrap();
+        }
+        let num_segments = rows.len().div_ceil(ROWS_PER_SEGMENT) as u64;
+
+        let check = |label: &str, pql: &str| {
+            let got = cluster.execute(&QueryRequest::new(pql));
+            assert_matches_reference(label, pql, &got, &rows);
+            // Pruned segments are counted, not hidden.
+            let s = &got.stats;
+            assert_eq!(s.num_segments_queried, num_segments, "{label}: {pql}");
+            assert_eq!(
+                s.num_segments_queried,
+                s.num_segments_processed + s.num_segments_pruned,
+                "{label}: stats unbalanced on {pql}: {s:?}"
+            );
+            assert_eq!(s.total_docs, rows.len() as u64, "{label}: {pql}");
+            got
         };
-        let pruned = build(true);
-        let unpruned = build(false);
 
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9a3e);
         for case in 0..QUERIES_PER_SEED {
-            let pql = gen_query(&mut rng);
-            let req = QueryRequest::new(&pql);
-            let p = pruned.execute(&req);
-            let u = unpruned.execute(&req);
-            assert!(
-                !p.partial && p.exceptions.is_empty(),
-                "pruned partial/failed seed {seed} case {case} {pql}: {:?}",
-                p.exceptions
-            );
-            assert_eq!(
-                p.result, u.result,
-                "pruning observable via seed {seed} case {case} {pql}"
-            );
-            // Pruned segments are counted, not hidden: both settings see
-            // the same universe of segments and docs, and the accounting
-            // identity holds at both.
-            assert_eq!(
-                p.stats.num_segments_queried, u.stats.num_segments_queried,
-                "segments-queried drift on {pql}"
-            );
-            assert_eq!(
-                p.stats.total_docs, u.stats.total_docs,
-                "total-docs drift on {pql}"
-            );
-            for (label, s) in [("pruned", &p.stats), ("unpruned", &u.stats)] {
-                assert_eq!(
-                    s.num_segments_queried,
-                    s.num_segments_processed + s.num_segments_pruned,
-                    "{label} stats unbalanced on {pql}: {s:?}"
-                );
-            }
-            assert_eq!(
-                u.stats.num_segments_pruned, 0,
-                "unpruned cluster pruned segments on {pql}"
-            );
+            check(&format!("seed {seed} case {case}"), &gen_query(&mut rng));
         }
 
-        // Pruning really happened — time/zone-map prunes fired (the
-        // generator emits out-of-range day filters) and bloom filters
-        // were probed for in-range equality filters.
-        let psnap = pruned.metrics_snapshot();
-        let pruned_total = psnap.counter("prune.time_segments")
-            + psnap.counter("prune.zonemap_segments")
-            + psnap.counter("prune.bloom_segments");
-        assert!(pruned_total > 0, "no segments pruned across the suite");
-        assert!(psnap.counter("prune.bloom_probes") > 0);
-        let usnap = unpruned.metrics_snapshot();
-        assert_eq!(usnap.counter("prune.time_segments"), 0);
-        assert_eq!(usnap.counter("prune.zonemap_segments"), 0);
-        assert_eq!(usnap.counter("prune.bloom_probes"), 0);
+        // Zone-map boundaries, where an off-by-one in a verdict hides:
+        // probes sitting exactly on the table's min and max day.
+        for day in [DAY_LO, DAY_HI] {
+            for op in ["<", "<=", ">", ">=", "="] {
+                let pql = format!("SELECT COUNT(*), SUM(clicks) FROM {TABLE} WHERE day {op} {day}");
+                check("zone-map boundary", &pql);
+            }
+        }
+        for (lo, hi) in [(DAY_LO - 5, DAY_LO), (DAY_HI, DAY_HI + 5)] {
+            let pql = format!("SELECT COUNT(*) FROM {TABLE} WHERE day BETWEEN {lo} AND {hi}");
+            check("zone-map boundary", &pql);
+        }
+
+        // Pruning really fired, deterministically: a day past every
+        // segment's time range prunes all of them; 'ca' sits inside the
+        // country zone map, so only the bloom filters can prune it.
+        let got = check(
+            "time-range",
+            &format!("SELECT COUNT(*), SUM(cost) FROM {TABLE} WHERE day > {DAY_HI}"),
+        );
+        assert_eq!(got.stats.num_segments_pruned, num_segments);
+        let before = cluster.metrics_snapshot().counter("prune.bloom_segments");
+        let got = check(
+            "bloom",
+            &format!("SELECT COUNT(*) FROM {TABLE} WHERE country = 'ca' GROUP BY device"),
+        );
+        assert!(got.stats.num_segments_pruned > 0);
+        let snap = cluster.metrics_snapshot();
+        assert!(snap.counter("prune.bloom_segments") > before);
+        assert!(snap.counter("prune.bloom_probes") > 0);
     }
 }
 
 /// Access-path strategy matrix (ISSUE 9): the cost-based planner's choice
 /// of inverted probe vs sorted binary search vs scan is a pure performance
 /// decision, so every cell of {auto, forced scan, forced inverted, forced
-/// sorted} × {row, batch} × {1, 4 threads} must return *byte-identical*
-/// results on an indexed table. Strategy-invariant stats (docs scanned,
+/// sorted} × {1, 4 threads} must return *byte-identical* results on an
+/// indexed table, and the forced-scan reference cell must match the
+/// reference interpreter. Strategy-invariant stats (docs scanned,
 /// post-filter entries, segment accounting) must agree across the matrix
 /// too; only `num_entries_scanned_in_filter` may differ — that's the
 /// entire point of picking a cheaper access path.
@@ -634,10 +578,9 @@ fn planner_strategy_matrix_is_byte_identical() {
     const CASES: usize = 40;
 
     let rows = gen_rows(SEED);
-    let build = |mode: PlannerMode, batch: bool, threads: usize| {
+    let build = |mode: PlannerMode, threads: usize| {
         let mut config = ClusterConfig::default().with_servers(1);
         config.engine.taskpool_threads = threads;
-        config.engine.batch = batch;
         config.engine.planner = mode;
         config.num_controllers = 1;
         let c = PinotCluster::start(config).unwrap();
@@ -661,17 +604,13 @@ fn planner_strategy_matrix_is_byte_identical() {
         (0..CASES).map(|_| gen_query(&mut rng)).collect()
     };
 
-    let reference = build(PlannerMode::Scan, false, 1);
+    let reference = build(PlannerMode::Scan, 1);
     let ref_responses: Vec<QueryResponse> = queries
         .iter()
         .map(|pql| reference.execute(&QueryRequest::new(pql)))
         .collect();
     for (pql, resp) in queries.iter().zip(&ref_responses) {
-        assert!(
-            !resp.partial && resp.exceptions.is_empty(),
-            "reference cell failed {pql}: {:?}",
-            resp.exceptions
-        );
+        assert_matches_reference("planner cell Scan t=1", pql, resp, &rows);
     }
 
     for mode in [
@@ -680,75 +619,112 @@ fn planner_strategy_matrix_is_byte_identical() {
         PlannerMode::Inverted,
         PlannerMode::Sorted,
     ] {
-        for &batch in &[false, true] {
-            for &threads in &[1usize, 4] {
-                if mode == PlannerMode::Scan && !batch && threads == 1 {
-                    continue; // the reference cell itself
+        for &threads in &[1usize, 4] {
+            if mode == PlannerMode::Scan && threads == 1 {
+                continue; // the reference cell itself
+            }
+            let cell = build(mode, threads);
+            for (pql, reference) in queries.iter().zip(&ref_responses) {
+                let got = cell.execute(&QueryRequest::new(pql));
+                assert!(
+                    !got.partial && got.exceptions.is_empty(),
+                    "cell {mode:?} t={threads} failed {pql}: {:?}",
+                    got.exceptions
+                );
+                assert_eq!(
+                    got.result, reference.result,
+                    "access path observable via {mode:?} t={threads} on {pql}"
+                );
+                // Strategy-invariant stats: what matched and what the
+                // aggregation read never depends on the access path.
+                assert_eq!(
+                    got.stats.num_docs_scanned, reference.stats.num_docs_scanned,
+                    "docs-scanned drift {mode:?} on {pql}"
+                );
+                assert_eq!(
+                    got.stats.num_entries_scanned_post_filter,
+                    reference.stats.num_entries_scanned_post_filter,
+                    "post-filter drift {mode:?} on {pql}"
+                );
+                assert_eq!(
+                    got.stats.total_docs, reference.stats.total_docs,
+                    "total-docs drift {mode:?} on {pql}"
+                );
+                assert_eq!(
+                    got.stats.num_segments_queried,
+                    got.stats.num_segments_processed + got.stats.num_segments_pruned,
+                    "segment accounting unbalanced {mode:?} on {pql}"
+                );
+            }
+            // Each cell really planned what it was told to: forced scan
+            // never touches an index; auto uses all three paths on this
+            // corpus (equality on inverted columns, ranges on the
+            // sorted time column, metric predicates that only scan).
+            let snap = cell.metrics_snapshot();
+            let inverted = snap.counter("exec.plan_inverted");
+            let sorted = snap.counter("exec.plan_sorted");
+            let scan = snap.counter("exec.plan_scan");
+            match mode {
+                PlannerMode::Scan => {
+                    assert_eq!(inverted + sorted, 0, "forced scan used an index");
+                    assert!(scan > 0);
                 }
-                let cell = build(mode, batch, threads);
-                for (pql, reference) in queries.iter().zip(&ref_responses) {
-                    let got = cell.execute(&QueryRequest::new(pql));
+                PlannerMode::Auto => {
                     assert!(
-                        !got.partial && got.exceptions.is_empty(),
-                        "cell {mode:?} batch={batch} t={threads} failed {pql}: {:?}",
-                        got.exceptions
+                        inverted > 0 && sorted > 0 && scan > 0,
+                        "auto should exercise every path: inv={inverted} sort={sorted} scan={scan}"
                     );
-                    assert_eq!(
-                        got.result, reference.result,
-                        "access path observable via {mode:?} batch={batch} t={threads} on {pql}"
-                    );
-                    // Strategy-invariant stats: what matched and what the
-                    // aggregation read never depends on the access path.
-                    assert_eq!(
-                        got.stats.num_docs_scanned, reference.stats.num_docs_scanned,
-                        "docs-scanned drift {mode:?} batch={batch} on {pql}"
-                    );
-                    assert_eq!(
-                        got.stats.num_entries_scanned_post_filter,
-                        reference.stats.num_entries_scanned_post_filter,
-                        "post-filter drift {mode:?} batch={batch} on {pql}"
-                    );
-                    assert_eq!(
-                        got.stats.total_docs, reference.stats.total_docs,
-                        "total-docs drift {mode:?} batch={batch} on {pql}"
-                    );
-                    assert_eq!(
-                        got.stats.num_segments_queried,
-                        got.stats.num_segments_processed + got.stats.num_segments_pruned,
-                        "segment accounting unbalanced {mode:?} on {pql}"
+                    assert!(
+                        snap.counter("exec.plan_index_and") + snap.counter("exec.plan_index_or")
+                            > 0,
+                        "auto never took a bulk index operator"
                     );
                 }
-                // Each cell really planned what it was told to: forced scan
-                // never touches an index; auto uses all three paths on this
-                // corpus (equality on inverted columns, ranges on the
-                // sorted time column, metric predicates that only scan).
-                let snap = cell.metrics_snapshot();
-                let inverted = snap.counter("exec.plan_inverted");
-                let sorted = snap.counter("exec.plan_sorted");
-                let scan = snap.counter("exec.plan_scan");
-                match mode {
-                    PlannerMode::Scan => {
-                        assert_eq!(inverted + sorted, 0, "forced scan used an index");
-                        assert!(scan > 0);
-                    }
-                    PlannerMode::Auto => {
-                        assert!(
-                            inverted > 0 && sorted > 0 && scan > 0,
-                            "auto should exercise every path: inv={inverted} sort={sorted} scan={scan}"
-                        );
-                        assert!(
-                            snap.counter("exec.plan_index_and")
-                                + snap.counter("exec.plan_index_or")
-                                > 0,
-                            "auto never took a bulk index operator"
-                        );
-                    }
-                    PlannerMode::Inverted => assert!(inverted > 0),
-                    PlannerMode::Sorted => assert!(sorted > 0),
-                }
+                PlannerMode::Inverted => assert!(inverted > 0),
+                PlannerMode::Sorted => assert!(sorted > 0),
             }
         }
     }
+}
+
+/// Aggregating *over* a multi-value column used to panic inside a server
+/// task (`ForwardIndex::get` on a multi-value index). Through the full
+/// stack it is a typed, non-retriable server error: an exception naming
+/// function and column, no panic captured by any pool, no failover
+/// attempted — and the interpreter rejects the same query.
+#[test]
+fn mv_aggregation_is_a_typed_exception_not_a_panic() {
+    let rows = gen_rows(3);
+    let cluster = start_cluster(&rows, Some(2));
+    for pql in [
+        format!("SELECT SUM(tags) FROM {TABLE}"),
+        format!(
+            "SELECT COUNT(*), DISTINCTCOUNT(tags) FROM {TABLE} WHERE clicks > 3 GROUP BY country"
+        ),
+    ] {
+        let resp = cluster.execute(&QueryRequest::new(&pql));
+        assert!(
+            resp.exceptions
+                .iter()
+                .any(|e| e.contains("invalid query") && e.contains("(tags)")),
+            "{pql}: {:?}",
+            resp.exceptions
+        );
+        let query = pinot_pql::parse(&pql).unwrap();
+        assert!(matches!(
+            reference::evaluate(&schema(), &rows, &query),
+            Err(pinot_common::PinotError::InvalidQuery(_))
+        ));
+    }
+    let snap = cluster.metrics_snapshot();
+    assert_eq!(snap.counter("taskpool.task_panics"), 0);
+    assert_eq!(snap.counter("broker.scatter.retry"), 0);
+    assert_eq!(snap.counter("broker.scatter.failover_success"), 0);
+
+    // The cluster is unharmed: the next query is complete and correct.
+    let pql = format!("SELECT COUNT(*) FROM {TABLE} GROUP BY tags");
+    let got = cluster.execute(&QueryRequest::new(&pql));
+    assert_matches_reference("after rejection", &pql, &got, &rows);
 }
 
 // ---- survival layer (ISSUE 7): all knobs on vs all knobs off ----
@@ -766,9 +742,9 @@ fn survival_knobs_are_byte_invisible() {
 
     for &seed in SEEDS {
         let rows = gen_rows(seed);
-        // One server for the same reason as the prune suite: multi-server
-        // selection gather is completion-ordered, which would make
-        // byte-identity timing-dependent rather than knob-dependent.
+        // One server: multi-server selection gather is completion-ordered,
+        // which would make byte-identity timing-dependent rather than
+        // knob-dependent.
         let build = |on: bool| {
             let mut config = ClusterConfig::default().with_servers(1);
             config.engine.taskpool_threads = 2;

@@ -2,16 +2,17 @@
 //!
 //! A hybrid table — offline segments plus a realtime stream consumed
 //! through columnar consuming segments — must answer every query exactly
-//! as an offline-only oracle cluster holding the rows the time-boundary
-//! rewrite makes visible: offline rows strictly below the boundary (the
-//! max offline day) plus every realtime row at or above it. The corpus
-//! runs *during* ingestion (queries interleaved with produce/tick) and
-//! again after the stream drains, across {1, 4} threads × {row, batch}
-//! kernels, and the answers must agree in every cell. Aggregations and group-bys are
-//! compared verbatim (the shared finalize is deterministic); selection
-//! rows as unordered multisets, since hybrid gather appends the offline
-//! and realtime sides in completion order.
+//! as the reference interpreter (`pinot_baseline::reference`) does over
+//! the rows the time-boundary rewrite makes visible: offline rows
+//! strictly below the boundary (the max offline day) plus every realtime
+//! row at or above it. The corpus runs *during* ingestion (queries
+//! interleaved with produce/tick) and again after the stream drains, on
+//! 1- and 4-thread pools, and the answers must agree in both cells.
+//! Selection rows and untruncated group tables are compared as unordered
+//! sets, since hybrid gather appends the offline and realtime sides in
+//! completion order.
 
+use pinot_baseline::reference;
 use pinot_common::config::{StreamConfig, TableConfig};
 use pinot_common::query::{QueryRequest, QueryResponse, QueryResult};
 use pinot_common::time::Clock;
@@ -234,21 +235,21 @@ fn normalize(result: &QueryResult) -> QueryResult {
     }
 }
 
-fn assert_same(label: &str, pql: &str, hybrid: &QueryResponse, oracle: &QueryResponse) {
+/// The hybrid answer must be complete and equal the interpreter's over
+/// `visible` — the rows the table should currently expose.
+fn assert_matches_reference(label: &str, pql: &str, hybrid: &QueryResponse, visible: &[Record]) {
     assert!(
         !hybrid.partial && hybrid.exceptions.is_empty(),
         "{label}: hybrid partial/failed for {pql}: {:?}",
         hybrid.exceptions
     );
-    assert!(
-        !oracle.partial && oracle.exceptions.is_empty(),
-        "{label}: oracle partial/failed for {pql}: {:?}",
-        oracle.exceptions
-    );
+    let query = pinot_pql::parse(pql).unwrap();
+    let want = reference::evaluate(&schema(), visible, &query)
+        .unwrap_or_else(|e| panic!("{label}: reference failed on {pql}: {e}"));
     assert_eq!(
         normalize(&hybrid.result),
-        normalize(&oracle.result),
-        "{label}: engines disagree on {pql}"
+        normalize(&want),
+        "{label}: hybrid disagrees with the reference on {pql}"
     );
 }
 
@@ -263,30 +264,11 @@ fn visible_rows(offline: &[Record], realtime: &[Record]) -> Vec<Record> {
         .collect()
 }
 
-fn start_oracle(rows: &[Record]) -> PinotCluster {
-    let mut config = ClusterConfig::default().with_servers(1);
-    config.num_controllers = 1;
-    let cluster = PinotCluster::start(config).unwrap();
-    cluster
-        .create_table(TableConfig::offline(TABLE), schema())
-        .unwrap();
-    for chunk in rows.chunks(250) {
-        cluster.upload_rows(TABLE, chunk.to_vec()).unwrap();
-    }
-    cluster
-}
-
-struct Cell {
-    threads: usize,
-    batch: bool,
-}
-
-fn start_hybrid(cell: &Cell, offline: &[Record], flush_rows: usize) -> PinotCluster {
+fn start_hybrid(threads: usize, offline: &[Record], flush_rows: usize) -> PinotCluster {
     let mut config = ClusterConfig::default()
         .with_servers(1)
         .with_clock(Clock::manual(1_700_000_000_000));
-    config.engine.taskpool_threads = cell.threads;
-    config.engine.batch = cell.batch;
+    config.engine.taskpool_threads = threads;
     config.num_controllers = 1;
     let cluster = PinotCluster::start(config).unwrap();
     cluster
@@ -338,12 +320,11 @@ fn ingest_interleaved(
     cluster.consume_until_idle().unwrap();
 }
 
-/// The main matrix: hybrid (ingesting) vs offline oracle across
-/// {1, 4} threads × {row, batch} kernels — every cell must agree with the
-/// oracle on every generated query, both mid-ingest and after the stream
-/// drains.
+/// The main matrix: hybrid (ingesting) vs the reference interpreter on
+/// {1, 4} threads — both cells must agree with the oracle on every
+/// generated query, both mid-ingest and after the stream drains.
 #[test]
-fn hybrid_ingest_matches_offline_oracle() {
+fn hybrid_ingest_matches_reference() {
     const SEED: u64 = 77;
     const CASES: usize = 45;
     const OFFLINE_ROWS: usize = 700;
@@ -354,7 +335,7 @@ fn hybrid_ingest_matches_offline_oracle() {
 
     let offline = gen_rows(SEED, OFFLINE_ROWS, DAY_LO, BOUNDARY);
     let realtime = gen_rows(SEED ^ 0xabcd, REALTIME_ROWS, BOUNDARY, DAY_HI);
-    let oracle = start_oracle(&visible_rows(&offline, &realtime));
+    let visible = visible_rows(&offline, &realtime);
 
     let queries: Vec<String> = {
         let mut rng = StdRng::seed_from_u64(SEED ^ 0x1297);
@@ -364,27 +345,9 @@ fn hybrid_ingest_matches_offline_oracle() {
     // are compared verbatim against the first cell's responses.
     let mut reference: Option<Vec<QueryResponse>> = None;
 
-    let cells = [
-        Cell {
-            threads: 1,
-            batch: false,
-        },
-        Cell {
-            threads: 4,
-            batch: false,
-        },
-        Cell {
-            threads: 1,
-            batch: true,
-        },
-        Cell {
-            threads: 4,
-            batch: true,
-        },
-    ];
-    for cell in &cells {
-        let label = format!("t={} batch={}", cell.threads, cell.batch);
-        let cluster = start_hybrid(cell, &offline, FLUSH_ROWS);
+    for threads in [1usize, 4] {
+        let label = format!("t={threads}");
+        let cluster = start_hybrid(threads, &offline, FLUSH_ROWS);
 
         // Queries issued *during* ingestion: results must be complete
         // (never partial) and counts exactly track what was consumed.
@@ -410,10 +373,8 @@ fn hybrid_ingest_matches_offline_oracle() {
         let responses: Vec<QueryResponse> = queries
             .iter()
             .map(|pql| {
-                let req = QueryRequest::new(pql);
-                let hybrid = cluster.execute(&req);
-                let expected = oracle.execute(&req);
-                assert_same(&label, pql, &hybrid, &expected);
+                let hybrid = cluster.execute(&QueryRequest::new(pql));
+                assert_matches_reference(&label, pql, &hybrid, &visible);
                 hybrid
             })
             .collect();
@@ -459,15 +420,10 @@ fn large_consuming_segment_seals_chunks_and_explains_realtime() {
     const REALTIME_ROWS: usize = 12_000;
 
     let realtime = gen_rows(SEED, REALTIME_ROWS, BOUNDARY, DAY_HI);
-    let oracle = start_oracle(&realtime);
 
-    let cell = Cell {
-        threads: 4,
-        batch: true,
-    };
     // Flush threshold far above the row count: everything stays in one
     // consuming segment per partition, spanning multiple sealed chunks.
-    let cluster = start_hybrid(&cell, &[], 1_000_000);
+    let cluster = start_hybrid(4, &[], 1_000_000);
     ingest_interleaved(&cluster, &realtime, |_, _| {});
 
     for pql in [
@@ -476,13 +432,8 @@ fn large_consuming_segment_seals_chunks_and_explains_realtime() {
         format!("SELECT SUM(cost) FROM {TABLE} WHERE day >= {BOUNDARY} GROUP BY device"),
         format!("SELECT country, clicks FROM {TABLE} WHERE clicks < 3 LIMIT {SELECTION_LIMIT}"),
     ] {
-        let req = QueryRequest::new(&pql);
-        assert_same(
-            "chunked",
-            &pql,
-            &cluster.execute(&req),
-            &oracle.execute(&req),
-        );
+        let got = cluster.execute(&QueryRequest::new(&pql));
+        assert_matches_reference("chunked", &pql, &got, &realtime);
     }
 
     let snap = cluster.metrics_snapshot();
@@ -515,7 +466,6 @@ fn backpressure_pauses_and_drains_without_losing_rows() {
     const REALTIME_ROWS: usize = 2400;
 
     let realtime = gen_rows(SEED, REALTIME_ROWS, BOUNDARY, DAY_HI);
-    let oracle = start_oracle(&realtime);
 
     let clock = Clock::manual(1_700_000_000_000);
     let mut config = ClusterConfig::default()
@@ -560,13 +510,9 @@ fn backpressure_pauses_and_drains_without_losing_rows() {
     }
     cluster.consume_until_idle().unwrap();
 
-    let req = QueryRequest::new(format!("SELECT COUNT(*), SUM(cost) FROM {TABLE}"));
-    assert_same(
-        "backpressure",
-        "count+sum",
-        &cluster.execute(&req),
-        &oracle.execute(&req),
-    );
+    let pql = format!("SELECT COUNT(*), SUM(cost) FROM {TABLE}");
+    let got = cluster.execute(&QueryRequest::new(&pql));
+    assert_matches_reference("backpressure", &pql, &got, &realtime);
 
     let snap = cluster.metrics_snapshot();
     assert!(

@@ -193,7 +193,6 @@ fn every_emitted_metric_is_in_the_design_catalogue() {
 
     // The catalogue families this PR leans on really are present.
     for required in [
-        "exec.batch_segments",
         "exec.blocks_decoded",
         "server.exec.queue_ms",
         "broker.phase.scatter_ms",

@@ -16,8 +16,8 @@
 //!
 //! [`choose_path`] turns an estimate into an [`AccessPath`] per leaf.
 //! The choice is a pure function of (segment, leaf, mode) — never of the
-//! enclosing conjunction's current selection, the batch kernel, or any
-//! runtime calibration — so the same leaf picks the same path in every
+//! enclosing conjunction's current selection or any runtime
+//! calibration — so the same leaf picks the same path in every
 //! evaluation order, which is what keeps plan choice byte-invisible to
 //! results.
 

@@ -2,31 +2,28 @@
 //!
 //! [`explain_segment`] answers, for one segment, every decision the
 //! execution path would make — the prune verdict with its level
-//! attribution, the [`PlanKind`] chosen, the order `eval_and` would run
-//! the filter conjuncts in (with the index class that decided each
-//! position), and whether the scan would use the batched or the row
-//! kernel. The logic mirrors `execute_on_segment_with` exactly but calls
-//! only the planner, so an `EXPLAIN PLAN FOR` statement costs no scan
-//! work. `EXPLAIN ANALYZE` instead executes with profiling and renders
+//! attribution, the [`PlanKind`] chosen, and the order `eval_and` would
+//! run the filter conjuncts in (with the index class that decided each
+//! position). The logic mirrors `execute_on_segment_with` exactly but
+//! calls only the planner, so an `EXPLAIN PLAN FOR` statement costs no
+//! scan work. `EXPLAIN ANALYZE` instead executes with profiling and renders
 //! the measured [`pinot_common::profile::ProfileNode`] tree next to the
 //! plan.
 
-use crate::batch::{self, ExecOptions};
+use crate::batch::ExecOptions;
 use crate::planner::{self, ConjunctPlan, PlanKind};
 use crate::prune::{Prunable, PruneEvaluator, PruneLevel};
-use crate::segment_exec::SegmentHandle;
+use crate::segment_exec::{validate_columns, SegmentHandle};
 use pinot_common::json::Json;
 use pinot_common::Result;
 use pinot_pql::{Query, SelectList};
-use pinot_segment::column::ColumnData;
 
 /// The plan decision tree for one segment, as EXPLAIN renders it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentExplain {
     pub segment: String,
     pub total_docs: u64,
-    /// Prune verdict: `unknown`, `match_all`, `cannot_match:<level>`, or
-    /// `off` when pruning is disabled.
+    /// Prune verdict: `unknown`, `match_all` or `cannot_match:<level>`.
     pub prune: String,
     /// Chosen plan; `None` when the prune verdict skips the segment.
     pub plan: Option<PlanKind>,
@@ -37,9 +34,6 @@ pub struct SegmentExplain {
     /// Scan operator a raw plan would run: `aggregate` | `group_by` |
     /// `select`.
     pub operator: &'static str,
-    /// Kernel a raw plan would use: `batch` | `row`. `None` for
-    /// non-raw plans.
-    pub kernel: Option<&'static str>,
     /// For consuming segments: the row count of the consistent cut the
     /// plan was made against. `None` for sealed segments. Rendered as
     /// `plan=realtime cut_rows=<n>` so EXPLAIN distinguishes the
@@ -49,8 +43,7 @@ pub struct SegmentExplain {
 
 /// Explain one segment without executing. Mirrors the execute path:
 /// prune verdict first (a `MatchAll` strips the filter, which can
-/// upgrade the plan to metadata-only), then plan selection, then the
-/// kernel choice the raw path would make.
+/// upgrade the plan to metadata-only), then plan selection.
 pub fn explain_segment(
     handle: &SegmentHandle,
     query: &Query,
@@ -58,23 +51,17 @@ pub fn explain_segment(
     opts: &ExecOptions,
 ) -> Result<SegmentExplain> {
     let segment = &handle.segment;
-    for c in query.referenced_columns() {
-        segment.column(c)?;
-    }
+    validate_columns(segment, query)?;
 
-    let prune = if opts.config.prune {
-        let evaluator = PruneEvaluator::new(time_column.map(String::from));
-        let outcome = evaluator.evaluate(query.filter.as_ref(), &**segment);
-        match outcome.prunable {
-            Prunable::CannotMatch => format!(
-                "cannot_match:{}",
-                outcome.level.unwrap_or(PruneLevel::ZoneMap).as_str()
-            ),
-            Prunable::MatchAll => "match_all".to_string(),
-            Prunable::Unknown => "unknown".to_string(),
-        }
-    } else {
-        "off".to_string()
+    let evaluator = PruneEvaluator::new(time_column.map(String::from));
+    let outcome = evaluator.evaluate(query.filter.as_ref(), &**segment);
+    let prune = match outcome.prunable {
+        Prunable::CannotMatch => format!(
+            "cannot_match:{}",
+            outcome.level.unwrap_or(PruneLevel::ZoneMap).as_str()
+        ),
+        Prunable::MatchAll => "match_all".to_string(),
+        Prunable::Unknown => "unknown".to_string(),
     };
 
     let operator = match &query.select {
@@ -91,7 +78,6 @@ pub fn explain_segment(
             plan: None,
             predicate_order: Vec::new(),
             operator,
-            kernel: None,
             realtime_cut_rows: None,
         });
     }
@@ -116,14 +102,6 @@ pub fn explain_segment(
     } else {
         Vec::new()
     };
-    let kernel = (plan == PlanKind::Raw).then(|| {
-        if raw_plan_uses_batch(handle, effective, opts) {
-            "batch"
-        } else {
-            "row"
-        }
-    });
-
     Ok(SegmentExplain {
         segment: segment.name().to_string(),
         total_docs: segment.num_docs() as u64,
@@ -131,59 +109,8 @@ pub fn explain_segment(
         plan: Some(plan),
         predicate_order,
         operator,
-        kernel,
         realtime_cut_rows: None,
     })
-}
-
-/// Would the raw path's scan use a batched kernel? Replicates the
-/// eligibility checks `execute_on_segment_with` makes per select shape.
-fn raw_plan_uses_batch(handle: &SegmentHandle, query: &Query, opts: &ExecOptions) -> bool {
-    if !opts.config.batch {
-        return false;
-    }
-    let segment = &handle.segment;
-    let lookup = |c: &str| segment.column(c);
-    match &query.select {
-        SelectList::Aggregations(aggs) if query.group_by.is_empty() => {
-            let cols: Option<Vec<Option<&ColumnData>>> = aggs
-                .iter()
-                .map(|a| match a.column.as_deref() {
-                    Some(c) => lookup(c).ok().map(Some),
-                    None => Some(None),
-                })
-                .collect();
-            cols.is_some_and(|cols| batch::aggregate_eligible(&cols))
-        }
-        SelectList::Aggregations(aggs) => {
-            let group_cols: Option<Vec<&ColumnData>> =
-                query.group_by.iter().map(|c| lookup(c).ok()).collect();
-            let agg_cols: Option<Vec<Option<&ColumnData>>> = aggs
-                .iter()
-                .map(|a| match a.column.as_deref() {
-                    Some(c) => lookup(c).ok().map(Some),
-                    None => Some(None),
-                })
-                .collect();
-            match (group_cols, agg_cols) {
-                (Some(g), Some(a)) => batch::group_by_layout(aggs, &g, &a).is_some(),
-                _ => false,
-            }
-        }
-        SelectList::Projections(cols) => {
-            let cols: Option<Vec<&ColumnData>> = cols.iter().map(|c| lookup(c).ok()).collect();
-            cols.is_some_and(|cols| batch::select_eligible(&cols))
-        }
-        SelectList::Star => {
-            let cols: Option<Vec<&ColumnData>> = segment
-                .schema()
-                .fields()
-                .iter()
-                .map(|f| lookup(&f.name).ok())
-                .collect();
-            cols.is_some_and(|cols| batch::select_eligible(&cols))
-        }
-    }
 }
 
 impl SegmentExplain {
@@ -195,18 +122,13 @@ impl SegmentExplain {
             self.segment, self.total_docs, self.prune
         );
         match self.plan {
-            Some(plan) => {
-                match self.realtime_cut_rows {
-                    Some(rows) => line.push_str(&format!(
-                        " plan=realtime({plan}) cut_rows={rows} operator={}",
-                        self.operator
-                    )),
-                    None => line.push_str(&format!(" plan={plan} operator={}", self.operator)),
-                }
-                if let Some(k) = self.kernel {
-                    line.push_str(&format!(" kernel={k}"));
-                }
-            }
+            Some(plan) => match self.realtime_cut_rows {
+                Some(rows) => line.push_str(&format!(
+                    " plan=realtime({plan}) cut_rows={rows} operator={}",
+                    self.operator
+                )),
+                None => line.push_str(&format!(" plan={plan} operator={}", self.operator)),
+            },
             None => match self.realtime_cut_rows {
                 Some(rows) => {
                     line.push_str(&format!(" plan=realtime(skipped) cut_rows={rows}"));
@@ -241,9 +163,6 @@ impl SegmentExplain {
             ),
             ("operator", self.operator.into()),
         ];
-        if let Some(k) = self.kernel {
-            pairs.push(("kernel", k.into()));
-        }
         if let Some(rows) = self.realtime_cut_rows {
             pairs.push(("realtime", true.into()));
             pairs.push(("cut_rows", rows.into()));
@@ -332,7 +251,6 @@ mod tests {
         let e = explain("SELECT COUNT(*) FROM t WHERE day >= 100");
         assert_eq!(e.prune, "match_all");
         assert_eq!(e.plan, Some(PlanKind::MetadataOnly));
-        assert_eq!(e.kernel, None);
         assert!(e.predicate_order.is_empty());
         assert!(e.render_text().contains("plan=metadata_only"));
     }
@@ -348,11 +266,10 @@ mod tests {
     }
 
     #[test]
-    fn raw_plan_orders_conjuncts_and_picks_kernel() {
+    fn raw_plan_orders_conjuncts() {
         let e = explain("SELECT SUM(clicks) FROM t WHERE clicks > 15 AND country = 'us'");
         assert_eq!(e.plan, Some(PlanKind::Raw));
         assert_eq!(e.operator, "aggregate");
-        assert_eq!(e.kernel, Some("batch"));
         // The inverted country leaf runs before the clicks scan leaf,
         // each annotated with its estimated selectivity (country = us
         // matches 1 of 3 docs exactly; clicks > 15 interpolates the
@@ -386,24 +303,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(e.predicate_order[0].path, "scan");
-    }
-
-    #[test]
-    fn row_kernel_reported_when_batch_disabled() {
-        let e = explain_segment(
-            &handle(),
-            &parse("SELECT SUM(clicks) FROM t WHERE clicks > 15").unwrap(),
-            Some("day"),
-            &ExecOptions {
-                config: Arc::new(EngineConfig {
-                    batch: false,
-                    ..EngineConfig::default()
-                }),
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(e.kernel, Some("row"));
     }
 
     #[test]

@@ -277,14 +277,10 @@ fn intersect_filter(f: &mut DimFilter, ids: Vec<DictId>) {
 }
 
 /// Everything one filter evaluation needs beyond the predicate itself:
-/// the scan-kernel choice, the access-path strategy, and the optional
-/// observation sinks. None of these fields may influence which docs a
-/// leaf selects — only how the selection is computed and what gets
-/// recorded about it.
+/// the access-path strategy and the optional observation sinks. None of
+/// these fields may influence which docs a leaf selects — only how the
+/// selection is computed and what gets recorded about it.
 pub(crate) struct FilterCtx<'a> {
-    /// Scan-fallback leaves decode dict-id blocks (`true`) or test doc
-    /// by doc through the forward index (`false`).
-    pub batch: bool,
     /// Access-path strategy per leaf ([`cost::choose_path`]).
     pub mode: PlannerMode,
     /// Metrics sink for per-leaf path counters and the est-vs-actual
@@ -307,30 +303,25 @@ pub struct ConjunctMeasure {
 }
 
 /// Evaluate a filter to a document selection, using the best index per leaf
-/// and ordering conjuncts cheapest-first (§4.2), with the scan kernel and
-/// access-path strategy of [`EngineConfig::default`].
+/// and ordering conjuncts cheapest-first (§4.2), with the access-path
+/// strategy of [`EngineConfig::default`].
 pub fn evaluate_filter(
     segment: &ImmutableSegment,
     pred: Option<&Predicate>,
     stats: &mut ExecutionStats,
 ) -> Result<DocSelection> {
-    let config = EngineConfig::default();
-    evaluate_filter_planned(segment, pred, stats, config.planner, config.batch)
+    evaluate_filter_planned(segment, pred, stats, EngineConfig::default().planner)
 }
 
-/// Like [`evaluate_filter`] with the access-path strategy and the
-/// scan-leaf kernel pinned (`batch` decodes dict-id blocks and matches in
-/// id space, `!batch` tests doc by doc through the forward index) — the
-/// entry point the planner proptests and the kernel bench drive directly.
+/// Like [`evaluate_filter`] with the access-path strategy pinned — the
+/// entry point the planner proptests drive directly.
 pub fn evaluate_filter_planned(
     segment: &ImmutableSegment,
     pred: Option<&Predicate>,
     stats: &mut ExecutionStats,
     mode: PlannerMode,
-    batch: bool,
 ) -> Result<DocSelection> {
     let ctx = FilterCtx {
-        batch,
         mode,
         obs: None,
         report: None,
@@ -661,7 +652,7 @@ fn eval_leaf(
                 DocSelection::Bitmap(bm)
             }
         }
-        AccessPath::Scan => eval_scan(segment, col, &matcher, stats, within, ctx.batch),
+        AccessPath::Scan => eval_scan(segment, col, &matcher, stats, within),
     };
 
     // Observation is read-only: path counters, the estimated-vs-actual
@@ -714,16 +705,15 @@ fn eval_scan(
     matcher: &IdMatcher,
     stats: &mut ExecutionStats,
     within: Option<&DocSelection>,
-    batch: bool,
 ) -> DocSelection {
     let mut bm = pinot_bitmap::RoaringBitmap::new();
     stats.num_entries_scanned_in_filter += match within {
         Some(w) => w.count(),
         None => segment.num_docs() as u64,
     };
-    if batch && col.forward.is_single_value() {
-        // Batched scan: decode dict-id blocks off the forward index and
-        // match in id space — no per-doc virtual dispatch or bit math.
+    if col.forward.is_single_value() {
+        // Decode dict-id blocks off the forward index and match in id
+        // space — no per-doc virtual dispatch or bit math.
         let all;
         let sel: &DocSelection = match within {
             Some(w) => w,
@@ -770,6 +760,7 @@ fn eval_scan(
             bm.append_sorted(&matched[..m]);
         });
     } else {
+        // Multi-value column: a doc matches when any element does.
         match within {
             Some(w) => {
                 w.for_each(|doc| {

@@ -92,7 +92,7 @@ impl IntermediateResult {
 }
 
 /// Execute a query on one segment with default options
-/// ([`pinot_common::EngineConfig::default`]: batched kernels, auto planner).
+/// ([`pinot_common::EngineConfig::default`]: auto planner).
 pub fn execute_on_segment(handle: &SegmentHandle, query: &Query) -> Result<IntermediateResult> {
     execute_on_segment_with(handle, query, &ExecOptions::default())
 }
@@ -115,10 +115,7 @@ pub fn execute_on_segment_with(
     // takes no extra timestamps and returns byte-identical results.
     let seg_start = opts.profile.then(std::time::Instant::now);
 
-    // Validate referenced columns up front for a clean error.
-    for c in query.referenced_columns() {
-        segment.column(c)?;
-    }
+    validate_columns(segment, query)?;
 
     // 1. Metadata-only plan.
     if let Some(values) = planner::metadata_only_plan(segment, query) {
@@ -181,18 +178,14 @@ pub fn execute_on_segment_with(
         return Ok(result);
     }
 
-    // 3. Raw plan: filter then aggregate / group / select. The batched
-    // kernels handle what they can; anything else (multi-value columns,
-    // over-wide group keys) falls back to the row path per operator.
+    // 3. Raw plan: filter then aggregate / group / select.
     record_plan(&mut stats, segment.name(), planner::PlanKind::Raw);
-    let batch = opts.config.batch;
     let filter_start = opts.profile.then(std::time::Instant::now);
     // Per-conjunct measurements (chosen path, estimated vs actual docs)
     // are collected only for EXPLAIN ANALYZE; plain profiled execution
     // skips the report to stay within its overhead budget.
     let conjuncts = (opts.profile && opts.analyze).then(|| std::cell::RefCell::new(Vec::new()));
     let fctx = planner::FilterCtx {
-        batch,
         mode: opts.config.planner,
         obs: opts.obs.as_deref(),
         report: conjuncts.as_ref(),
@@ -206,9 +199,8 @@ pub fn execute_on_segment_with(
     // profiled path takes no extra timestamp between filter and scan.
     let scan_start = std::time::Instant::now();
     let filter_ns = filter_start.map(|t| scan_start.duration_since(t).as_nanos() as u64);
-    // Resolve columns and choose the kernel once; morsels reuse the plan.
-    let plan = ScanPlan::resolve(segment, query, batch)?;
-    let batch_kernel = plan.batch_kernel();
+    // Resolve columns once; morsels reuse the plan.
+    let plan = ScanPlan::resolve(segment, query)?;
     // Morsel-driven scan (ISSUE 8): the partition depends only on the
     // selection and the morsel size, and partials merge in ascending
     // morsel order — so whether the morsels run inline or as pool tasks
@@ -252,7 +244,7 @@ pub fn execute_on_segment_with(
     };
     let scan_ns = scan_start.elapsed().as_nanos() as u64;
     if let Some(obs) = &opts.obs {
-        kstats.flush(obs, batch_kernel, scan_ns);
+        kstats.flush(obs, scan_ns);
     }
     let profile = seg_start.map(|t| {
         let (scan_op, docs_produced) = match &payload {
@@ -276,7 +268,6 @@ pub fn execute_on_segment_with(
             }
         }
         let mut scan = ProfileNode::new(scan_op);
-        scan.kernel = Some(if batch_kernel { "batch" } else { "row" });
         scan.docs_in = stats.num_docs_scanned;
         scan.docs_out = docs_produced;
         scan.blocks_decoded = kstats.blocks;
@@ -295,45 +286,37 @@ pub fn execute_on_segment_with(
     })
 }
 
-/// A resolved raw-scan plan: columns looked up and the kernel chosen
-/// once per segment, then reused for every morsel of the selection. All
-/// kernels take a `&DocSelection`, which is what lets morsel splitting
-/// happen *above* the kernel choice — batch and row paths morselize
-/// identically.
+/// A resolved raw-scan plan: columns looked up once per segment, then
+/// reused for every morsel of the selection. Every kernel takes a
+/// `&DocSelection`, which is what lets morsel splitting happen *above*
+/// the operator.
 enum ScanPlan<'a> {
     Aggregate {
         aggs: &'a [AggregateExpr],
         cols: Vec<Option<&'a ColumnData>>,
-        batch: bool,
     },
     GroupBy {
         aggs: &'a [AggregateExpr],
         group_cols: Vec<&'a ColumnData>,
         agg_cols: Vec<Option<&'a ColumnData>>,
-        layout: Option<batch::PackedKeyLayout>,
+        layout: batch::KeyLayout,
     },
     Select {
         columns: Vec<String>,
         cols: Vec<&'a ColumnData>,
         limit: usize,
-        batch: bool,
     },
 }
 
 impl<'a> ScanPlan<'a> {
-    fn resolve(
-        segment: &'a ImmutableSegment,
-        query: &'a Query,
-        batch: bool,
-    ) -> Result<ScanPlan<'a>> {
+    fn resolve(segment: &'a ImmutableSegment, query: &'a Query) -> Result<ScanPlan<'a>> {
         Ok(match &query.select {
             SelectList::Aggregations(aggs) if query.group_by.is_empty() => {
                 let cols: Vec<Option<&ColumnData>> = aggs
                     .iter()
                     .map(|a| a.column.as_deref().map(|c| segment.column(c)).transpose())
                     .collect::<Result<_>>()?;
-                let batch = batch && batch::aggregate_eligible(&cols);
-                ScanPlan::Aggregate { aggs, cols, batch }
+                ScanPlan::Aggregate { aggs, cols }
             }
             SelectList::Aggregations(aggs) => {
                 let group_cols: Vec<&ColumnData> = query
@@ -345,9 +328,7 @@ impl<'a> ScanPlan<'a> {
                     .iter()
                     .map(|a| a.column.as_deref().map(|c| segment.column(c)).transpose())
                     .collect::<Result<_>>()?;
-                let layout = batch
-                    .then(|| batch::group_by_layout(aggs, &group_cols, &agg_cols))
-                    .flatten();
+                let layout = batch::KeyLayout::new(&group_cols);
                 ScanPlan::GroupBy {
                     aggs,
                     group_cols,
@@ -370,23 +351,13 @@ impl<'a> ScanPlan<'a> {
                     .map(|c| segment.column(c))
                     .collect::<Result<_>>()?;
                 let limit = query.effective_limit();
-                let batch = batch && batch::select_eligible(&cols);
                 ScanPlan::Select {
                     columns,
                     cols,
                     limit,
-                    batch,
                 }
             }
         })
-    }
-
-    fn batch_kernel(&self) -> bool {
-        match self {
-            ScanPlan::Aggregate { batch, .. } => *batch,
-            ScanPlan::GroupBy { layout, .. } => layout.is_some(),
-            ScanPlan::Select { batch, .. } => *batch,
-        }
     }
 
     /// Columns the scan reads per matching doc — the cost model's second
@@ -413,46 +384,56 @@ impl<'a> ScanPlan<'a> {
         kstats: &mut KernelStats,
     ) -> ResultPayload {
         match self {
-            ScanPlan::Aggregate { aggs, cols, batch } => {
-                let states = if *batch {
-                    batch::aggregate_selection_batch(aggs, cols, selection, stats, kstats)
-                } else {
-                    aggregate_selection(aggs, cols, selection, stats)
-                };
-                ResultPayload::Aggregation(states)
-            }
+            ScanPlan::Aggregate { aggs, cols } => ResultPayload::Aggregation(
+                batch::aggregate_selection(aggs, cols, selection, stats, kstats),
+            ),
             ScanPlan::GroupBy {
                 aggs,
                 group_cols,
                 agg_cols,
                 layout,
             } => {
-                let groups = match layout {
-                    Some(layout) => batch::group_by_selection_batch(
-                        aggs, group_cols, agg_cols, layout, selection, stats, kstats,
-                    ),
-                    None => group_by_selection(aggs, group_cols, agg_cols, selection, stats),
+                // One kernel, keyed by what the segment's cardinalities
+                // need: a packed word, or an id slice past 64 bits.
+                let kernel = if layout.fits_u64() {
+                    batch::group_by_selection::<u64>
+                } else {
+                    batch::group_by_selection::<Box<[pinot_segment::DictId]>>
                 };
-                ResultPayload::GroupBy(groups)
+                ResultPayload::GroupBy(kernel(
+                    aggs, group_cols, agg_cols, layout, selection, stats, kstats,
+                ))
             }
             ScanPlan::Select {
                 columns,
                 cols,
                 limit,
-                batch,
-            } => {
-                let rows = if *batch {
-                    batch::select_rows_batch(cols, selection, *limit, stats, kstats)
-                } else {
-                    select_rows(cols, selection, *limit, stats)
-                };
-                ResultPayload::Selection {
-                    columns: columns.clone(),
-                    rows,
-                }
+            } => ResultPayload::Selection {
+                columns: columns.clone(),
+                rows: batch::select_rows(cols, selection, *limit, stats, kstats),
+            },
+        }
+    }
+}
+
+/// Up-front query validation against one segment, for a clean typed
+/// error before any plan is chosen: every referenced column exists, and
+/// no aggregation reads a multi-value column (Pinot has separate `…MV`
+/// functions for that; the plain ones are rejected).
+pub(crate) fn validate_columns(segment: &ImmutableSegment, query: &Query) -> Result<()> {
+    for c in query.referenced_columns() {
+        segment.column(c)?;
+    }
+    for agg in query.aggregations() {
+        if let Some(c) = &agg.column {
+            if !segment.column(c)?.forward.is_single_value() {
+                return Err(PinotError::InvalidQuery(format!(
+                    "{agg}: {c} is a multi-value column"
+                )));
             }
         }
     }
+    Ok(())
 }
 
 /// Root profile node for one segment execution.
@@ -550,135 +531,10 @@ fn execute_star_tree(
     })
 }
 
-fn aggregate_selection(
-    aggs: &[AggregateExpr],
-    cols: &[Option<&ColumnData>],
-    selection: &DocSelection,
-    stats: &mut ExecutionStats,
-) -> Vec<AggState> {
-    let mut states: Vec<AggState> = aggs.iter().map(|a| AggState::new(a.function)).collect();
-    let mut entries = 0u64;
-    selection.for_each(|doc| {
-        for (state, col) in states.iter_mut().zip(cols) {
-            match col {
-                Some(col) => {
-                    entries += 1;
-                    if matches!(state, AggState::Distinct(_)) {
-                        state.accept_value(&col.dictionary.value_of(col.dict_id(doc)));
-                    } else if let Some(x) = col.numeric(doc) {
-                        state.accept_numeric(x);
-                    }
-                }
-                None => state.accept_numeric(0.0), // COUNT(*)
-            }
-        }
-    });
-    stats.num_entries_scanned_post_filter += entries;
-    states
-}
-
-fn group_by_selection(
-    aggs: &[AggregateExpr],
-    group_cols: &[&ColumnData],
-    agg_cols: &[Option<&ColumnData>],
-    selection: &DocSelection,
-    stats: &mut ExecutionStats,
-) -> HashMap<GroupKey, Vec<AggState>> {
-    // Each (doc, column) read counts once into the scan stat — key
-    // expansion re-uses the same read, so multi-value cartesian blowup
-    // must not inflate it.
-    let entries_per_doc =
-        (group_cols.len() + agg_cols.iter().filter(|c| c.is_some()).count()) as u64;
-    let mut groups: HashMap<GroupKey, Vec<AggState>> = HashMap::new();
-    let mut entries = 0u64;
-    let mut scratch_ids: Vec<pinot_segment::DictId> = Vec::new();
-    // Scratch reused across docs: candidate keys, the expansion buffer,
-    // and the per-element group values of the current MV column.
-    let mut keys: Vec<GroupKey> = Vec::new();
-    let mut expanded: Vec<GroupKey> = Vec::new();
-    let mut elem_values: Vec<GroupValue> = Vec::new();
-    selection.for_each(|doc| {
-        entries += entries_per_doc;
-        // Multi-value group columns contribute one key per element
-        // (cartesian across multiple MV columns).
-        keys.clear();
-        keys.push(GroupKey::new());
-        for col in group_cols {
-            if col.forward.is_single_value() {
-                let v = col.dictionary.value_of(col.dict_id(doc));
-                let gv = GroupValue::from_value(&v);
-                for k in &mut keys {
-                    k.push(gv.clone());
-                }
-            } else {
-                col.forward.get_multi(doc, &mut scratch_ids);
-                elem_values.clear();
-                elem_values.extend(
-                    scratch_ids
-                        .iter()
-                        .map(|&id| GroupValue::from_value(&col.dictionary.value_of(id))),
-                );
-                expanded.clear();
-                expanded.reserve(keys.len() * elem_values.len());
-                for k in keys.drain(..) {
-                    if let Some((last, rest)) = elem_values.split_last() {
-                        for gv in rest {
-                            let mut nk = k.clone();
-                            nk.push(gv.clone());
-                            expanded.push(nk);
-                        }
-                        // The final element takes ownership of the key.
-                        let mut nk = k;
-                        nk.push(last.clone());
-                        expanded.push(nk);
-                    }
-                }
-                std::mem::swap(&mut keys, &mut expanded);
-            }
-        }
-        for key in keys.drain(..) {
-            let states = groups
-                .entry(key)
-                .or_insert_with(|| aggs.iter().map(|a| AggState::new(a.function)).collect());
-            for (state, col) in states.iter_mut().zip(agg_cols) {
-                match col {
-                    Some(col) => {
-                        if matches!(state, AggState::Distinct(_)) {
-                            state.accept_value(&col.dictionary.value_of(col.dict_id(doc)));
-                        } else if let Some(x) = col.numeric(doc) {
-                            state.accept_numeric(x);
-                        }
-                    }
-                    None => state.accept_numeric(0.0),
-                }
-            }
-        }
-    });
-    stats.num_entries_scanned_post_filter += entries;
-    groups
-}
-
-fn select_rows(
-    cols: &[&ColumnData],
-    selection: &DocSelection,
-    limit: usize,
-    stats: &mut ExecutionStats,
-) -> Vec<Vec<Value>> {
-    let mut rows = Vec::new();
-    selection.for_each(|doc| {
-        if rows.len() >= limit {
-            return;
-        }
-        rows.push(cols.iter().map(|c| c.value(doc)).collect());
-    });
-    stats.num_entries_scanned_post_filter += (rows.len() * cols.len()) as u64;
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pinot_common::{DataType, EngineConfig, FieldSpec, Record, Schema, Value};
+    use pinot_common::{DataType, FieldSpec, Record, Schema, Value};
     use pinot_pql::parse;
     use pinot_segment::builder::{BuilderConfig, SegmentBuilder};
     use std::sync::Arc;
@@ -706,81 +562,125 @@ mod tests {
         SegmentHandle::new(Arc::new(b.build().unwrap()))
     }
 
-    fn run(handle: &SegmentHandle, pql: &str, batch: bool) -> IntermediateResult {
-        let opts = ExecOptions {
-            config: Arc::new(EngineConfig {
-                batch,
-                ..EngineConfig::default()
-            }),
-            ..ExecOptions::default()
-        };
-        execute_on_segment_with(handle, &parse(pql).unwrap(), &opts).unwrap()
+    fn run(handle: &SegmentHandle, pql: &str) -> IntermediateResult {
+        execute_on_segment(handle, &parse(pql).unwrap()).unwrap()
+    }
+
+    /// The finalized group table of a single-aggregation group-by, keys
+    /// rendered as strings: value descending, ties by key.
+    fn groups(r: IntermediateResult, pql: &str) -> Vec<(Vec<String>, Value)> {
+        match crate::finalize(r, &parse(pql).unwrap()).unwrap() {
+            pinot_common::query::QueryResult::GroupBy(tables) => tables[0]
+                .rows
+                .iter()
+                .map(|(k, v)| (k.iter().map(|x| x.to_string()).collect(), v.clone()))
+                .collect(),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn key(parts: &[&str]) -> Vec<String> {
+        parts.iter().map(|p| p.to_string()).collect()
     }
 
     /// Regression (ISSUE 4 satellite): `num_entries_scanned_post_filter`
-    /// counts each (doc, column) read once. The old row path counted an
-    /// entry per *expanded group key*, inflating MV group-bys by the
-    /// per-doc key fan-out.
+    /// counts each (doc, column) read once, not once per expanded group
+    /// key — and a multi-value group column emits one key per element.
     #[test]
     fn mv_group_by_counts_entries_per_doc_not_per_expanded_key() {
         let handle = mv_handle();
         // 5 docs × (1 group column + 1 agg column) = 10 entries; the key
         // expansion (3+1+2+2+1 = 9 keys) must not leak into the count.
-        for batch in [false, true] {
-            let r = run(&handle, "SELECT SUM(m) FROM t GROUP BY tags", batch);
-            assert_eq!(r.stats.num_entries_scanned_post_filter, 10, "batch={batch}");
-        }
-        // Two MV group columns fan out multiplicatively in keys but still
-        // count one entry per (doc, column): 5 × (2 + 1) = 15.
-        for batch in [false, true] {
-            let r = run(
-                &handle,
-                "SELECT SUM(m) FROM t GROUP BY tags, country",
-                batch,
-            );
-            assert_eq!(r.stats.num_entries_scanned_post_filter, 15, "batch={batch}");
-        }
+        let pql = "SELECT SUM(m) FROM t GROUP BY tags";
+        let r = run(&handle, pql);
+        assert_eq!(r.stats.num_entries_scanned_post_filter, 10);
+        assert_eq!(
+            groups(r, pql),
+            vec![
+                (key(&["b"]), Value::Double(6.0)),
+                (key(&["c"]), Value::Double(5.0)),
+                (key(&["a"]), Value::Double(4.0)),
+            ]
+        );
+        // A multi-value column beside a single-value one fans out per
+        // element but still counts one entry per (doc, column):
+        // 5 × (2 + 1) = 15.
+        let pql = "SELECT SUM(m) FROM t GROUP BY tags, country";
+        let r = run(&handle, pql);
+        assert_eq!(r.stats.num_entries_scanned_post_filter, 15);
+        assert_eq!(
+            groups(r, pql),
+            vec![
+                (key(&["b", "us"]), Value::Double(6.0)),
+                (key(&["a", "de"]), Value::Double(4.0)),
+                (key(&["c", "de"]), Value::Double(3.0)),
+                (key(&["c", "us"]), Value::Double(2.0)),
+                (key(&["a", "us"]), Value::Double(0.0)),
+            ]
+        );
     }
 
-    /// The packed-key batch kernel and the row path agree on results and
-    /// stats for an SV group-by (where the batch layout actually engages).
+    /// The group-by kernel on single-value keys, with and without a
+    /// DISTINCTCOUNT, and the projection kernel on a multi-value column:
+    /// payload and stats against literal expectations.
     #[test]
-    fn sv_group_by_batch_matches_row_path() {
+    fn group_by_and_select_match_literal_expectations() {
         let handle = mv_handle();
         let pql = "SELECT SUM(m), COUNT(*) FROM t GROUP BY country";
-        let b = run(&handle, pql, true);
-        let r = run(&handle, pql, false);
-        match (&b.payload, &r.payload) {
-            (ResultPayload::GroupBy(bg), ResultPayload::GroupBy(rg)) => {
-                assert_eq!(bg.len(), rg.len());
-                for (k, states) in bg {
-                    let other = rg.get(k).expect("group missing from row path");
-                    for (s, o) in states.iter().zip(other) {
-                        assert_eq!(s.finalize_f64(), o.finalize_f64());
-                    }
-                }
-            }
-            other => panic!("unexpected payloads: {other:?}"),
-        }
+        let r = run(&handle, pql);
+        assert_eq!(r.stats.num_entries_scanned_post_filter, 10);
         assert_eq!(
-            b.stats.num_entries_scanned_post_filter,
-            r.stats.num_entries_scanned_post_filter
+            groups(r, pql),
+            vec![
+                (key(&["us"]), Value::Double(6.0)),
+                (key(&["de"]), Value::Double(4.0)),
+            ]
         );
 
-        // The kernel counters name the kernel that ran, not the option:
-        // under the default (batch) config the SV group-by above counts
-        // as a batch segment, a DISTINCTCOUNT group-by — which the packed
-        // kernel cannot serve — as a row segment.
-        let obs = pinot_obs::Obs::shared();
-        let opts = ExecOptions {
-            obs: Some(Arc::clone(&obs)),
-            ..ExecOptions::default()
-        };
-        for q in [pql, "SELECT DISTINCTCOUNT(m) FROM t GROUP BY country"] {
-            execute_on_segment_with(&handle, &parse(q).unwrap(), &opts).unwrap();
+        let pql = "SELECT DISTINCTCOUNT(m) FROM t GROUP BY country";
+        let r = run(&handle, pql);
+        assert_eq!(r.stats.num_entries_scanned_post_filter, 10);
+        assert_eq!(
+            groups(r, pql),
+            vec![
+                (key(&["us"]), Value::Long(3)),
+                (key(&["de"]), Value::Long(2)),
+            ]
+        );
+
+        let r = run(&handle, "SELECT tags, m FROM t WHERE m >= 1 LIMIT 2");
+        assert_eq!(r.stats.num_entries_scanned_post_filter, 4);
+        assert_eq!(
+            r.payload,
+            ResultPayload::Selection {
+                columns: vec!["tags".into(), "m".into()],
+                rows: vec![
+                    vec![Value::StringArray(vec!["a".into()]), Value::Long(1)],
+                    vec![
+                        Value::StringArray(vec!["b".into(), "c".into()]),
+                        Value::Long(2)
+                    ],
+                ],
+            }
+        );
+    }
+
+    /// Aggregating *over* a multi-value column used to reach
+    /// `ForwardIndex::get` on a multi-value index and panic; it is a
+    /// typed error naming function and column, grouped or not.
+    #[test]
+    fn aggregating_over_a_multi_value_column_is_invalid_query() {
+        let handle = mv_handle();
+        for function in ["SUM", "MIN", "MAX", "AVG", "COUNT", "DISTINCTCOUNT"] {
+            for tail in ["", " GROUP BY country", " WHERE m > 1"] {
+                let pql = format!("SELECT {function}(tags) FROM t{tail}");
+                let err = execute_on_segment(&handle, &parse(&pql).unwrap()).unwrap_err();
+                let expected = format!("{}(tags)", function.to_lowercase());
+                assert!(
+                    matches!(&err, PinotError::InvalidQuery(m) if m.contains(&expected)),
+                    "{pql}: {err}"
+                );
+            }
         }
-        let snap = obs.metrics.snapshot();
-        assert_eq!(snap.counter("exec.batch_segments"), 1);
-        assert_eq!(snap.counter("exec.row_segments"), 1);
     }
 }

@@ -167,6 +167,15 @@ impl DocBlock<'_> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The `row`-th doc of the block.
+    #[inline]
+    pub fn doc(&self, row: usize) -> DocId {
+        match self {
+            DocBlock::Run(s, _) => *s + row as DocId,
+            DocBlock::Ids(ids) => ids[row],
+        }
+    }
 }
 
 fn each_run_block(start: DocId, end: DocId, f: &mut impl FnMut(DocBlock<'_>)) {

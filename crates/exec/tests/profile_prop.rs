@@ -4,7 +4,7 @@
 //! and the broker merge hybrid-table halves in whatever order partials
 //! arrive: it must be commutative and associative up to the summary
 //! representation (names stripped, children keyed and sorted by
-//! (operator, plan_kind, prune, kernel)). `aggregate_segment_profiles`
+//! (operator, plan_kind, prune)). `aggregate_segment_profiles`
 //! must preserve every counter while capping how many exact per-segment
 //! nodes survive.
 
@@ -12,7 +12,7 @@ use pinot_common::profile::{aggregate_segment_profiles, ProfileNode};
 use proptest::prelude::*;
 
 /// A segment profile in one of the shapes real executions produce:
-/// raw/batch, raw/row, star-tree, zonemap-pruned, metadata-only.
+/// raw aggregate, raw group-by, star-tree, zonemap-pruned, metadata-only.
 type Desc = (usize, u64, u64, u64, u64);
 
 fn node_from(desc: &Desc, i: usize) -> ProfileNode {
@@ -30,8 +30,11 @@ fn node_from(desc: &Desc, i: usize) -> ProfileNode {
             filter.docs_in = docs_in;
             filter.docs_out = docs_out;
             filter.elapsed_ns = elapsed / 3;
-            let mut scan = ProfileNode::new("aggregate");
-            scan.kernel = Some(if shape % 5 == 0 { "batch" } else { "row" });
+            let mut scan = ProfileNode::new(if shape % 5 == 0 {
+                "aggregate"
+            } else {
+                "group_by"
+            });
             scan.docs_in = docs_out;
             scan.docs_out = 1;
             scan.blocks_decoded = blocks;

@@ -1,61 +1,68 @@
 //! End-to-end per-segment execution properties: results must be identical
 //! regardless of which indexes the segment has (no index / inverted /
-//! sorted / star-tree), and must match a brute-force evaluator.
+//! sorted / star-tree), and must match the reference interpreter
+//! (`pinot_baseline::reference`) evaluating the same query over the raw
+//! rows — including the shapes only the block kernels' input-selected
+//! arms serve: multi-value group and projection columns, grouped
+//! DISTINCTCOUNT, and composite group keys wider than 64 bits.
 
+use pinot_baseline::reference;
 use pinot_common::config::StarTreeConfig;
+use pinot_common::query::QueryResult;
 use pinot_common::{DataType, FieldSpec, Record, Schema, Value};
-use pinot_exec::segment_exec::{execute_on_segment, ResultPayload, SegmentHandle};
+use pinot_exec::finalize;
+use pinot_exec::segment_exec::{execute_on_segment, SegmentHandle};
 use pinot_pql::parse;
+use pinot_segment::bitpack::bits_needed;
 use pinot_segment::builder::{BuilderConfig, SegmentBuilder};
 use pinot_segment::ImmutableSegment;
 use pinot_startree::build_star_tree;
 use proptest::prelude::*;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-#[derive(Debug, Clone)]
-struct Row {
-    k: i64,
-    c: &'static str,
-    m: i64,
-}
-
-fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
-    prop::collection::vec(
-        (
-            0i64..8,
-            prop::sample::select(vec!["us", "de", "fr", "jp"]),
-            -50i64..50,
-        )
-            .prop_map(|(k, c, m)| Row { k, c, m }),
-        1..150,
-    )
-}
-
-fn build(rows: &[Row], variant: u8) -> SegmentHandle {
-    let schema = Schema::new(
+fn schema() -> Schema {
+    Schema::new(
         "t",
         vec![
             FieldSpec::dimension("k", DataType::Long),
             FieldSpec::dimension("c", DataType::String),
+            FieldSpec::multi_value_dimension("tags", DataType::String),
             FieldSpec::metric("m", DataType::Long),
         ],
     )
-    .unwrap();
+    .unwrap()
+}
+
+fn rows_strategy() -> impl Strategy<Value = Vec<Record>> {
+    prop::collection::vec(
+        (
+            0i64..8,
+            prop::sample::select(vec!["us", "de", "fr", "jp"]),
+            prop::collection::vec(prop::sample::select(vec!["a", "b", "c", "d"]), 1..4),
+            -50i64..50,
+        )
+            .prop_map(|(k, c, tags, m)| {
+                Record::new(vec![
+                    Value::Long(k),
+                    Value::from(c),
+                    Value::StringArray(tags.iter().map(|t| t.to_string()).collect()),
+                    Value::Long(m),
+                ])
+            }),
+        1..150,
+    )
+}
+
+fn build(rows: &[Record], variant: u8) -> SegmentHandle {
     let mut cfg = BuilderConfig::new("s", "t");
     match variant {
-        1 => cfg = cfg.with_inverted_columns(&["k", "c"]),
+        1 => cfg = cfg.with_inverted_columns(&["k", "c", "tags"]),
         2 => cfg = cfg.with_sort_columns(&["k"]).with_inverted_columns(&["c"]),
         _ => {}
     }
-    let mut b = SegmentBuilder::new(schema, cfg).unwrap();
+    let mut b = SegmentBuilder::new(schema(), cfg).unwrap();
     for r in rows {
-        b.add(Record::new(vec![
-            Value::Long(r.k),
-            Value::from(r.c),
-            Value::Long(r.m),
-        ]))
-        .unwrap();
+        b.add(r.clone()).unwrap();
     }
     let seg: Arc<ImmutableSegment> = Arc::new(b.build().unwrap());
     let mut handle = SegmentHandle::new(Arc::clone(&seg));
@@ -75,9 +82,11 @@ fn build(rows: &[Row], variant: u8) -> SegmentHandle {
     handle
 }
 
-/// Queries whose filters/groups are on (k, c) with aggregations on m — the
-/// shapes all four variants including star-tree can run.
+/// Filters/groups on (k, c) with aggregations on m are the shapes all
+/// four variants including the star-tree can serve; the `tags` and
+/// DISTINCTCOUNT shapes always run the raw block kernels.
 fn query_strategy() -> impl Strategy<Value = String> {
+    let tag = || prop::sample::select(vec!["a", "b", "c", "d", "zz"]);
     prop_oneof![
         Just("SELECT COUNT(*), SUM(m), MIN(m), MAX(m), AVG(m) FROM t".to_string()),
         (0i64..8).prop_map(|k| format!("SELECT SUM(m), COUNT(*) FROM t WHERE k = {k}")),
@@ -90,198 +99,111 @@ fn query_strategy() -> impl Strategy<Value = String> {
         (0i64..8).prop_map(|k| format!(
             "SELECT COUNT(*), SUM(m) FROM t WHERE k BETWEEN 2 AND {k} GROUP BY c TOP 100"
         )),
+        // Multi-value group column, alone and beside a single-value one.
+        Just("SELECT COUNT(*), SUM(m) FROM t GROUP BY tags TOP 100".to_string()),
+        tag().prop_map(|t| format!(
+            "SELECT MAX(m), AVG(m) FROM t WHERE tags = '{t}' GROUP BY tags, c TOP 100"
+        )),
+        (tag(), 0i64..8).prop_map(|(t, k)| format!(
+            "SELECT COUNT(*) FROM t WHERE tags != '{t}' AND k < {k} GROUP BY c, tags TOP 3"
+        )),
+        // Grouped DISTINCTCOUNT over string and numeric columns.
+        Just(
+            "SELECT DISTINCTCOUNT(c), DISTINCTCOUNT(m), COUNT(*) FROM t GROUP BY k TOP 100"
+                .to_string()
+        ),
+        tag().prop_map(|t| format!(
+            "SELECT DISTINCTCOUNT(k) FROM t WHERE tags IN ('{t}', 'a') GROUP BY tags TOP 100"
+        )),
+        (0i64..8).prop_map(|k| format!("SELECT DISTINCTCOUNT(c), SUM(m) FROM t WHERE k != {k}")),
+        // Multi-value projection.
+        tag().prop_map(|t| format!("SELECT tags, k, m FROM t WHERE tags = '{t}' LIMIT 1000")),
+        Just("SELECT * FROM t LIMIT 1000".to_string()),
     ]
 }
 
-fn brute_force(rows: &[Row], pql: &str) -> (HashMap<String, Vec<f64>>, Vec<String>) {
-    let q = parse(pql).unwrap();
-    let matches = |r: &Row| -> bool {
-        match &q.filter {
-            None => true,
-            Some(p) => eval_pred(p, r),
+/// Sorted segments reorder rows physically, so selection rows compare as
+/// a multiset; aggregations and group tables have one defined order.
+fn normalize(result: QueryResult) -> QueryResult {
+    match result {
+        QueryResult::Selection { columns, mut rows } => {
+            rows.sort_by_key(|r| format!("{r:?}"));
+            QueryResult::Selection { columns, rows }
         }
-    };
-    fn eval_pred(p: &pinot_pql::Predicate, r: &Row) -> bool {
-        use pinot_pql::{CmpOp, Predicate};
-        let field = |name: &str| -> Value {
-            match name {
-                "k" => Value::Long(r.k),
-                "c" => Value::from(r.c),
-                "m" => Value::Long(r.m),
-                _ => Value::Null,
-            }
-        };
-        match p {
-            Predicate::And(ps) => ps.iter().all(|p| eval_pred(p, r)),
-            Predicate::Or(ps) => ps.iter().any(|p| eval_pred(p, r)),
-            Predicate::Not(p) => !eval_pred(p, r),
-            Predicate::Cmp { column, op, value } => {
-                let ord = field(column).total_cmp(value);
-                match op {
-                    CmpOp::Eq => ord.is_eq(),
-                    CmpOp::Ne => ord.is_ne(),
-                    CmpOp::Lt => ord.is_lt(),
-                    CmpOp::Le => ord.is_le(),
-                    CmpOp::Gt => ord.is_gt(),
-                    CmpOp::Ge => ord.is_ge(),
-                }
-            }
-            Predicate::In {
-                column,
-                values,
-                negated,
-            } => {
-                let hit = values.iter().any(|v| field(column).total_cmp(v).is_eq());
-                hit != *negated
-            }
-            Predicate::Between { column, low, high } => {
-                let f = field(column);
-                f.total_cmp(low).is_ge() && f.total_cmp(high).is_le()
-            }
-        }
+        other => other,
     }
-
-    // Aggregate per group (empty key when no GROUP BY).
-    let mut out: HashMap<String, Vec<f64>> = HashMap::new();
-    let aggs = q.aggregations().to_vec();
-    for r in rows.iter().filter(|r| matches(r)) {
-        let key = q
-            .group_by
-            .iter()
-            .map(|g| match g.as_str() {
-                "k" => r.k.to_string(),
-                "c" => r.c.to_string(),
-                other => panic!("{other}"),
-            })
-            .collect::<Vec<_>>()
-            .join("|");
-        let entry = out.entry(key).or_insert_with(|| {
-            aggs.iter()
-                .map(|a| match a.function {
-                    pinot_pql::AggFunction::Min => f64::INFINITY,
-                    pinot_pql::AggFunction::Max => f64::NEG_INFINITY,
-                    _ => 0.0,
-                })
-                .collect()
-        });
-        for (i, a) in aggs.iter().enumerate() {
-            let x = r.m as f64;
-            match a.function {
-                pinot_pql::AggFunction::Count => entry[i] += 1.0,
-                pinot_pql::AggFunction::Sum => entry[i] += x,
-                pinot_pql::AggFunction::Min => entry[i] = entry[i].min(x),
-                pinot_pql::AggFunction::Max => entry[i] = entry[i].max(x),
-                pinot_pql::AggFunction::Avg => entry[i] += x, // divide later
-                pinot_pql::AggFunction::DistinctCount => unreachable!(),
-            }
-        }
-    }
-    // Fix up averages.
-    let counts: HashMap<String, f64> = rows
-        .iter()
-        .filter(|r| matches(r))
-        .map(|r| {
-            q.group_by
-                .iter()
-                .map(|g| match g.as_str() {
-                    "k" => r.k.to_string(),
-                    "c" => r.c.to_string(),
-                    _ => unreachable!(),
-                })
-                .collect::<Vec<_>>()
-                .join("|")
-        })
-        .fold(HashMap::new(), |mut m, k| {
-            *m.entry(k).or_insert(0.0) += 1.0;
-            m
-        });
-    for (k, v) in out.iter_mut() {
-        for (i, a) in aggs.iter().enumerate() {
-            if a.function == pinot_pql::AggFunction::Avg {
-                v[i] /= counts[k];
-            }
-        }
-    }
-    (out, q.group_by.clone())
 }
 
-fn result_to_map(handle: &SegmentHandle, pql: &str) -> HashMap<String, Vec<f64>> {
+fn run(handle: &SegmentHandle, pql: &str) -> QueryResult {
     let q = parse(pql).unwrap();
-    let r = execute_on_segment(handle, &q).unwrap();
-    match r.payload {
-        ResultPayload::Aggregation(states) => {
-            let vals: Vec<f64> = states.iter().map(|s| s.finalize_f64()).collect();
-            // An all-empty aggregation over zero matching rows is equivalent
-            // to brute force's "no groups at all".
-            let count_like = states.iter().any(|s| match s {
-                pinot_exec::AggState::Count(n) => *n > 0,
-                pinot_exec::AggState::Sum(_) => true,
-                pinot_exec::AggState::Avg { count, .. } => *count > 0,
-                pinot_exec::AggState::Min(m) => m.is_finite(),
-                pinot_exec::AggState::Max(m) => m.is_finite(),
-                pinot_exec::AggState::Distinct(s) => !s.is_empty(),
-            });
-            let mut out = HashMap::new();
-            if count_like {
-                out.insert(String::new(), vals);
-            }
-            out
-        }
-        ResultPayload::GroupBy(groups) => groups
-            .into_iter()
-            .map(|(key, states)| {
-                let k = key
-                    .iter()
-                    .map(|g| match g.to_value() {
-                        Value::Long(x) => x.to_string(),
-                        Value::String(s) => s,
-                        other => other.to_string(),
-                    })
-                    .collect::<Vec<_>>()
-                    .join("|");
-                (k, states.iter().map(|s| s.finalize_f64()).collect())
-            })
-            .collect(),
-        other => panic!("unexpected payload {other:?}"),
-    }
+    normalize(finalize(execute_on_segment(handle, &q).unwrap(), &q).unwrap())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn all_variants_agree_with_brute_force(rows in rows_strategy(), pql in query_strategy()) {
-        let (expected, group_by) = brute_force(&rows, &pql);
+    fn all_variants_agree_with_reference(rows in rows_strategy(), pql in query_strategy()) {
+        let expected =
+            normalize(reference::evaluate(&schema(), &rows, &parse(&pql).unwrap()).unwrap());
         for variant in 0..4u8 {
-            let handle = build(&rows, variant);
-            let got = result_to_map(&handle, &pql);
-            // For ungrouped queries over an empty match set, engines report
-            // identity aggregates; brute force reports nothing. Normalize:
-            let effectively_empty = expected.is_empty() && group_by.is_empty();
-            if effectively_empty {
-                if let Some(vals) = got.get("") {
-                    // COUNT-like zero / identity results only.
-                    let q = parse(&pql).unwrap();
-                    for (i, a) in q.aggregations().iter().enumerate() {
-                        match a.function {
-                            pinot_pql::AggFunction::Count => prop_assert_eq!(vals[i], 0.0),
-                            pinot_pql::AggFunction::Sum => prop_assert_eq!(vals[i], 0.0),
-                            _ => {}
-                        }
-                    }
-                }
-                continue;
-            }
-            prop_assert_eq!(got.len(), expected.len(), "variant {} pql {} got {:?} expected {:?}", variant, &pql, &got, &expected);
-            for (k, vals) in &expected {
-                let g = got.get(k).ok_or_else(|| TestCaseError::fail(
-                    format!("variant {variant}: missing group {k:?} for {pql}")
-                ))?;
-                for (i, v) in vals.iter().enumerate() {
-                    prop_assert!((g[i] - v).abs() < 1e-6,
-                        "variant {} pql {} group {:?} agg {}: {} vs {}", variant, &pql, k, i, g[i], v);
-                }
-            }
+            let got = run(&build(&rows, variant), &pql);
+            prop_assert_eq!(&got, &expected, "variant {} pql {}", variant, &pql);
         }
+    }
+}
+
+/// Five group columns of 4,100 distinct values each need 13 bits apiece:
+/// 65 bits, one more than a packed word holds, so the group-by kernel
+/// keys on an id slice; four of them (52 bits) still pack into a u64.
+/// Both must equal the reference verbatim on the same segment.
+#[test]
+fn composite_key_wider_than_64_bits_matches_reference() {
+    const CARD: i64 = 4100;
+    const ROWS: i64 = 4200;
+    let names = ["g0", "g1", "g2", "g3", "g4"];
+    let mut fields: Vec<FieldSpec> = names
+        .iter()
+        .map(|n| FieldSpec::dimension(*n, DataType::Long))
+        .collect();
+    fields.push(FieldSpec::metric("m", DataType::Long));
+    let schema = Schema::new("w", fields).unwrap();
+
+    // Odd multipliers coprime to 4100 permute 0..4100, so every column
+    // has exactly CARD distinct values and rows 4100.. repeat rows 0..100.
+    let rows: Vec<Record> = (0..ROWS)
+        .map(|i| {
+            let mut values: Vec<Value> = [1i64, 3, 7, 9, 11]
+                .iter()
+                .map(|mult| Value::Long((i * mult) % CARD))
+                .collect();
+            values.push(Value::Long(i));
+            Record::new(values)
+        })
+        .collect();
+    let mut b = SegmentBuilder::new(schema.clone(), BuilderConfig::new("s", "w")).unwrap();
+    for r in &rows {
+        b.add(r.clone()).unwrap();
+    }
+    let handle = SegmentHandle::new(Arc::new(b.build().unwrap()));
+
+    let key_bits = |cols: &[&str]| -> u32 {
+        cols.iter()
+            .map(|c| {
+                let card = handle.segment.column(c).unwrap().dictionary.cardinality();
+                u32::from(bits_needed(card as u32 - 1))
+            })
+            .sum()
+    };
+    assert_eq!(key_bits(&names), 65);
+    assert_eq!(key_bits(&names[..4]), 52);
+
+    for group_by in [names.join(", "), names[..4].join(", ")] {
+        let pql = format!("SELECT COUNT(*), SUM(m) FROM w GROUP BY {group_by} TOP 5000");
+        let q = parse(&pql).unwrap();
+        let got = finalize(execute_on_segment(&handle, &q).unwrap(), &q).unwrap();
+        let want = reference::evaluate(&schema, &rows, &q).unwrap();
+        assert_eq!(got.group_by().unwrap()[0].rows.len(), CARD as usize);
+        assert_eq!(got, want, "{pql}");
     }
 }

@@ -175,7 +175,7 @@ proptest! {
 
     /// Every access-path strategy (auto with its IndexAnd/IndexOr bulk
     /// operators, and each forced path) selects exactly the docs the
-    /// forced-scan oracle selects, under both scan kernels.
+    /// forced-scan oracle selects.
     #[test]
     fn strategies_match_scan_oracle(rows in rows_strategy(), f in filter_strategy()) {
         let pred = filter_of(&f);
@@ -183,24 +183,19 @@ proptest! {
             let seg = build(&rows, variant);
             let mut s = ExecutionStats::default();
             let oracle = docs(
-                &evaluate_filter_planned(&seg, Some(&pred), &mut s, PlannerMode::Scan, true)
-                    .unwrap(),
+                &evaluate_filter_planned(&seg, Some(&pred), &mut s, PlannerMode::Scan).unwrap(),
             );
             for mode in [PlannerMode::Auto, PlannerMode::Inverted, PlannerMode::Sorted] {
-                for batch in [false, true] {
-                    let mut s = ExecutionStats::default();
-                    let sel =
-                        evaluate_filter_planned(&seg, Some(&pred), &mut s, mode, batch).unwrap();
-                    prop_assert_eq!(
-                        docs(&sel),
-                        oracle.clone(),
-                        "variant={} mode={:?} batch={} filter={}",
-                        variant,
-                        mode,
-                        batch,
-                        f
-                    );
-                }
+                let mut s = ExecutionStats::default();
+                let sel = evaluate_filter_planned(&seg, Some(&pred), &mut s, mode).unwrap();
+                prop_assert_eq!(
+                    docs(&sel),
+                    oracle.clone(),
+                    "variant={} mode={:?} filter={}",
+                    variant,
+                    mode,
+                    f
+                );
             }
         }
     }

@@ -127,9 +127,9 @@ impl ForwardIndex {
     }
 
     /// Bulk-read the dict ids of docs `[start, start + out.len())` into
-    /// `out` — the block-decode entry point of the batched execution
-    /// path. Panics on multi-value columns (block kernels fall back to
-    /// the row path for those).
+    /// `out` — the block-decode entry point of the execution kernels.
+    /// Panics on multi-value columns (the kernels read those per doc
+    /// with `get_multi`).
     #[inline]
     pub fn read_block(&self, start: DocId, out: &mut [DictId]) {
         match self {

@@ -762,7 +762,6 @@ impl Server {
             Ok(state.schema.time_column().map(|tc| tc.name.clone()))
         })?;
         let evaluator = PruneEvaluator::new(time_column);
-        let prune_on = self.config.prune;
         let exec_started = std::time::Instant::now();
         let queue_ns = exec_started.duration_since(entered).as_nanos() as u64;
         self.obs
@@ -771,7 +770,7 @@ impl Server {
 
         // Whole-query short-circuit: when statistics prove no routed
         // segment can match, answer without touching the pool at all.
-        let short_circuited = prune_on && self.try_short_circuit(req, &evaluator, &mut acc)?;
+        let short_circuited = self.try_short_circuit(req, &evaluator, &mut acc)?;
         if !short_circuited {
             self.maybe_recalibrate();
             let deadline = Deadline::at(req.deadline);
@@ -802,8 +801,7 @@ impl Server {
                             self.id
                         )));
                     }
-                    let partial =
-                        self.execute_segment(req, seg_name, &evaluator, prune_on, None)?;
+                    let partial = self.execute_segment(req, seg_name, &evaluator, None)?;
                     merge_intermediate(&mut acc, partial)?;
                 }
             } else {
@@ -840,7 +838,6 @@ impl Server {
                                 req,
                                 seg_name,
                                 evaluator,
-                                prune_on,
                                 Some(parallel),
                             ));
                         });
@@ -992,7 +989,6 @@ impl Server {
         req: &ServerRequest,
         seg_name: &str,
         evaluator: &PruneEvaluator,
-        prune_on: bool,
         parallel: Option<&ParallelExec>,
     ) -> Result<IntermediateResult> {
         let handle = self.with_table(&req.table, |state| {
@@ -1020,33 +1016,31 @@ impl Server {
         // stats; MatchAll strips the predicate, which upgrades
         // COUNT/MIN/MAX-only queries to the metadata-only plan.
         let mut stripped = None;
-        if prune_on {
-            let outcome = evaluator.evaluate(req.query.filter.as_ref(), handle.segment.as_ref());
-            self.record_prune(&outcome);
-            match outcome.prunable {
-                Prunable::CannotMatch => {
-                    let docs = handle.segment.num_docs() as u64;
-                    let mut pruned = IntermediateResult::empty_for(&req.query);
-                    pruned.stats.num_segments_queried += 1;
-                    pruned.stats.num_segments_pruned += 1;
-                    pruned.stats.total_docs += docs;
-                    if req.profile {
-                        pruned.profile = Some(pruned_segment_profile(
-                            std::sync::Arc::clone(&handle.name),
-                            &outcome,
-                            docs,
-                        ));
-                    }
-                    return Ok(pruned);
+        let outcome = evaluator.evaluate(req.query.filter.as_ref(), handle.segment.as_ref());
+        self.record_prune(&outcome);
+        match outcome.prunable {
+            Prunable::CannotMatch => {
+                let docs = handle.segment.num_docs() as u64;
+                let mut pruned = IntermediateResult::empty_for(&req.query);
+                pruned.stats.num_segments_queried += 1;
+                pruned.stats.num_segments_pruned += 1;
+                pruned.stats.total_docs += docs;
+                if req.profile {
+                    pruned.profile = Some(pruned_segment_profile(
+                        std::sync::Arc::clone(&handle.name),
+                        &outcome,
+                        docs,
+                    ));
                 }
-                Prunable::MatchAll if req.query.filter.is_some() => {
-                    self.obs.metrics.counter_add("prune.filters_stripped", 1);
-                    let mut q = (*req.query).clone();
-                    q.filter = None;
-                    stripped = Some(q);
-                }
-                _ => {}
+                return Ok(pruned);
             }
+            Prunable::MatchAll if req.query.filter.is_some() => {
+                self.obs.metrics.counter_add("prune.filters_stripped", 1);
+                let mut q = (*req.query).clone();
+                q.filter = None;
+                stripped = Some(q);
+            }
+            _ => {}
         }
         let query: &Query = stripped.as_ref().unwrap_or(&req.query);
         let seg_started = std::time::Instant::now();
@@ -1068,7 +1062,7 @@ impl Server {
     /// Per-segment EXPLAIN decisions for every segment this server hosts
     /// for `table` (online handles plus consuming snapshots), mirroring
     /// what [`Server::execute`] would do — prune verdict, plan choice,
-    /// predicate order, kernel — without executing anything.
+    /// predicate order — without executing anything.
     pub fn explain_segments(&self, table: &str, query: &Query) -> Result<Vec<SegmentExplain>> {
         let opts = ExecOptions {
             config: Arc::clone(&self.config),
