@@ -30,7 +30,7 @@ use pinot_exec::{
     collected_profiles, finalize, merge_intermediate, ColumnRange, Prunable, PruneEvaluator,
     ZoneMapStats,
 };
-use pinot_obs::{LatencyDigest, Obs, QueryLogEntry, QueryTrace};
+use pinot_obs::{LatencyDigest, Obs, QueryLogEntry};
 use pinot_pql::{CmpOp, Predicate, Query};
 use pinot_taskpool::TaskPool;
 use rand::rngs::StdRng;
@@ -46,9 +46,11 @@ use survival::{AdmissionController, Lookup, ResultCache};
 /// estimation, and how many a server needs before its estimate counts.
 const HEDGE_LATENCY_WINDOW: usize = 64;
 const HEDGE_MIN_SAMPLES: usize = 8;
-/// Hedge delay = max(floor, `HEDGE_DELAY_FACTOR` × healthy p99).
+/// Hedge delay = max(`HEDGE_FLOOR_MS`, `HEDGE_DELAY_FACTOR` × healthy
+/// p99): hedging never fires earlier than the floor even when the healthy
+/// p99 estimate is tiny.
 const HEDGE_DELAY_FACTOR: f64 = 1.5;
-const HEDGE_FLOOR_MS_DEFAULT: u64 = 5;
+const HEDGE_FLOOR_MS: f64 = 5.0;
 
 /// One server's share of a scattered query.
 #[derive(Clone)]
@@ -62,7 +64,7 @@ pub struct RoutedRequest {
     /// backoff against it.
     pub deadline: Option<Instant>,
     /// Broker-assigned query id (seeded, deterministic per broker); the
-    /// server echoes it in its partial's stats so spans, logs, and
+    /// server echoes it in its partial's stats so stats, logs, and
     /// profiles from every server join on one key.
     pub query_id: u64,
     /// Ask the server to collect a per-operator profile tree alongside the
@@ -80,6 +82,19 @@ struct QueryCtx {
     query_id: u64,
     profile: bool,
     analyze: bool,
+}
+
+/// One query's broker phase wall times in nanoseconds, summed over the
+/// physical sides of a hybrid query. Each `broker.phase.*_ms` histogram is
+/// observed where its phase ends; this copy only feeds the query log's
+/// profile root for a logged query that asked for no profile.
+#[derive(Clone, Copy, Default)]
+struct PhaseNanos {
+    parse: u64,
+    route: u64,
+    scatter: u64,
+    gather: u64,
+    merge: u64,
 }
 
 /// One message on the gather channel. `origin` names the slice (the server
@@ -161,9 +176,6 @@ pub struct Broker {
     /// Per-server streaming latency estimates (observed scatter-reply wall
     /// clock) feeding the hedged-scatter delay.
     latency: LatencyDigest,
-    /// Minimum hedge delay in ms — hedging never fires earlier than this
-    /// even when the healthy p99 estimate is tiny.
-    hedge_floor_ms: std::sync::atomic::AtomicU64,
     admission: Arc<AdmissionController>,
     cache: Arc<ResultCache>,
     /// Per-physical-table generation counters bumped on every external
@@ -263,7 +275,6 @@ impl Broker {
             query_seq: std::sync::atomic::AtomicU64::new(0),
             query_seed: 0x9e3779b97f4a7c15 ^ (n as u64).rotate_left(32),
             latency: LatencyDigest::new(HEDGE_LATENCY_WINDOW, HEDGE_MIN_SAMPLES),
-            hedge_floor_ms: std::sync::atomic::AtomicU64::new(HEDGE_FLOOR_MS_DEFAULT),
             admission: Arc::new(AdmissionController::default()),
             cache: Arc::new(ResultCache::new()),
             cache_gens,
@@ -285,21 +296,9 @@ impl Broker {
         (z ^ (z >> 31)).max(1)
     }
 
-    /// Floor on the hedge delay in milliseconds (default 5). Tests lower
-    /// it to make hedging fire fast under the seeded clock.
-    pub fn set_hedge_floor_ms(&self, ms: u64) {
-        self.hedge_floor_ms
-            .store(ms.max(1), std::sync::atomic::Ordering::Relaxed);
-    }
-
     /// Tighten or relax the per-tenant concurrency / wait-queue limits.
     pub fn set_admission_limits(&self, limits: AdmissionLimits) {
         self.admission.set_limits(limits);
-    }
-
-    /// Weight multiplier for one tenant's concurrency slots (default 1).
-    pub fn set_tenant_weight(&self, tenant: &str, weight: u32) {
-        self.admission.set_weight(tenant, weight);
     }
 
     pub fn task_pool(&self) -> Arc<TaskPool> {
@@ -321,17 +320,10 @@ impl Broker {
 
     // ---- client entry point ----
 
-    /// Execute a PQL query (§3.3.3).
+    /// Execute a PQL query (§3.3.3). Each broker phase feeds its
+    /// `broker.phase.*_ms` histogram as it ends, and the finished query is
+    /// offered to the slow/partial query log.
     pub fn execute(&self, request: &QueryRequest) -> QueryResponse {
-        self.execute_traced(request).0
-    }
-
-    /// Execute a PQL query and return the response together with its
-    /// [`QueryTrace`]: phase spans (parse, route, scatter, gather, merge),
-    /// per-server execution times, and per-segment plan kinds. Phase
-    /// durations also feed the broker's `broker.phase.*_ms` histograms, and
-    /// the finished query is offered to the slow/partial query log.
-    pub fn execute_traced(&self, request: &QueryRequest) -> (QueryResponse, QueryTrace) {
         let started = Instant::now();
         let deadline = started + Duration::from_millis(request.timeout_ms);
         let ctx = QueryCtx {
@@ -339,8 +331,8 @@ impl Broker {
             profile: request.profile,
             analyze: request.analyze,
         };
-        let mut trace = QueryTrace::new(&request.pql);
-        let mut response = match self.execute_inner(request, ctx, deadline, &mut trace) {
+        let mut phases = PhaseNanos::default();
+        let mut response = match self.execute_inner(request, ctx, deadline, &mut phases) {
             Ok(resp) => resp,
             Err(e) => {
                 self.obs.metrics.counter_add("broker.query.failed", 1);
@@ -353,41 +345,12 @@ impl Broker {
                 }
             }
         };
+        let elapsed = started.elapsed();
         response.stats.query_id = ctx.query_id;
-        response.stats.time_used_ms = started.elapsed().as_millis() as u64;
-
-        // Fold the merged execution stats into the trace.
-        for (seg, kind) in &response.stats.segment_plans {
-            trace.add_segment_plan(seg.clone(), kind.clone());
-        }
-        trace.add_counter("num_docs_scanned", response.stats.num_docs_scanned);
-        trace.add_counter(
-            "num_segments_processed",
-            response.stats.num_segments_processed,
-        );
-        trace.add_counter("num_segments_pruned", response.stats.num_segments_pruned);
-        trace.add_counter("num_servers_queried", response.stats.num_servers_queried);
-        trace.add_counter(
-            "num_servers_responded",
-            response.stats.num_servers_responded,
-        );
+        response.stats.time_used_ms = elapsed.as_millis() as u64;
 
         let m = &self.obs.metrics;
-        for span in &trace.spans {
-            match span.name.as_str() {
-                "parse" | "route" | "scatter" | "gather" | "merge" => {
-                    m.observe_ms(&format!("broker.phase.{}_ms", span.name), span.duration_ms);
-                }
-                s if s.starts_with("server:") => {
-                    m.observe_ms("broker.phase.server_execute_ms", span.duration_ms);
-                }
-                _ => {}
-            }
-        }
-        m.observe_ms(
-            "broker.query.total_ms",
-            started.elapsed().as_secs_f64() * 1e3,
-        );
+        m.observe_ms("broker.query.total_ms", elapsed.as_secs_f64() * 1e3);
         m.counter_add("broker.query.total", 1);
         if response.partial {
             m.counter_add("broker.query.partial", 1);
@@ -398,17 +361,67 @@ impl Broker {
             response.partial,
             response.exceptions.len(),
         ) {
+            // An unprofiled query still logs where the broker's time went:
+            // a `broker` root holding only the phase nodes.
+            let profile = if ctx.profile {
+                response.profile.clone()
+            } else {
+                let mut root = ProfileNode::named("broker", self.id.to_string());
+                root.elapsed_ns = elapsed.as_nanos() as u64;
+                root.children.extend(phase_nodes(&[
+                    ("parse", phases.parse),
+                    ("route", phases.route),
+                    ("scatter", phases.scatter),
+                    ("gather", phases.gather),
+                    ("merge", phases.merge),
+                ]));
+                Some(QueryProfile {
+                    query_id: ctx.query_id,
+                    root,
+                })
+            };
             self.obs.query_log.observe(QueryLogEntry {
                 query: request.pql.clone(),
                 query_id: ctx.query_id,
                 time_used_ms: response.stats.time_used_ms,
                 partial: response.partial,
                 exception_count: response.exceptions.len(),
-                trace: Some(trace.clone()),
-                profile: response.profile.clone(),
+                profile,
             });
         }
-        (response, trace)
+        response
+    }
+
+    /// Run one broker phase, observe its `broker.phase.*_ms` histogram
+    /// `name`, add its wall time in nanoseconds to `total`, and return that
+    /// time beside the phase's output.
+    fn timed<T>(&self, name: &'static str, total: &mut u64, f: impl FnOnce() -> T) -> (T, u64) {
+        let started = Instant::now();
+        let out = f();
+        let elapsed = started.elapsed();
+        let ms = elapsed.as_secs_f64() * 1e3;
+        self.obs.metrics.observe_ms(name, ms);
+        let ns = elapsed.as_nanos() as u64;
+        *total += ns;
+        (out, ns)
+    }
+
+    /// Record one server reply's broker-observed wall time: it feeds the
+    /// hedge-delay estimate, the `broker.phase.server_execute_ms`
+    /// histogram, and the profile's per-server `network` split.
+    fn observe_reply(
+        &self,
+        server: &InstanceId,
+        wall: Duration,
+        server_wall_ns: &mut HashMap<String, u64>,
+    ) {
+        let server = server.to_string();
+        let ms = wall.as_secs_f64() * 1e3;
+        self.latency.observe(&server, ms);
+        self.obs
+            .metrics
+            .observe_ms("broker.phase.server_execute_ms", ms);
+        server_wall_ns.insert(server, wall.as_nanos() as u64);
     }
 
     fn execute_inner(
@@ -416,9 +429,12 @@ impl Broker {
         request: &QueryRequest,
         ctx: QueryCtx,
         deadline: Instant,
-        trace: &mut QueryTrace,
+        phases: &mut PhaseNanos,
     ) -> Result<QueryResponse> {
-        let query = Arc::new(trace.span("parse", |_| pinot_pql::parse(&request.pql))?);
+        let (parsed, _) = self.timed("broker.phase.parse_ms", &mut phases.parse, || {
+            pinot_pql::parse(&request.pql)
+        });
+        let query = Arc::new(parsed?);
         let tenant = request.tenant.clone().unwrap_or_else(|| {
             self.table_config_any(&query.table)
                 .map(|c| c.tenant)
@@ -456,7 +472,7 @@ impl Broker {
         let cacheable =
             self.config.result_cache && physical.iter().all(|t| !t.ends_with("_REALTIME"));
         if !cacheable {
-            return self.execute_admitted(&physical, &query, &tenant, ctx, deadline, trace);
+            return self.execute_admitted(&physical, &query, &tenant, ctx, deadline, phases);
         }
         let key = self.cache_key(&physical, &query);
         match self.cache.lookup(&key) {
@@ -473,13 +489,15 @@ impl Broker {
                     Some(resp) => Ok(self.cached_response(&resp, ctx)),
                     // Leader failed or our deadline passed first: execute
                     // for ourselves without re-registering as leader.
-                    None => self.execute_admitted(&physical, &query, &tenant, ctx, deadline, trace),
+                    None => {
+                        self.execute_admitted(&physical, &query, &tenant, ctx, deadline, phases)
+                    }
                 }
             }
             Lookup::Lead(guard) => {
                 self.obs.metrics.counter_add("broker.cache_miss", 1);
                 let outcome =
-                    self.execute_admitted(&physical, &query, &tenant, ctx, deadline, trace);
+                    self.execute_admitted(&physical, &query, &tenant, ctx, deadline, phases);
                 match &outcome {
                     // Only complete, exception-free, unprofiled responses
                     // are cached: a partial payload must never be replayed
@@ -537,7 +555,7 @@ impl Broker {
         tenant: &str,
         ctx: QueryCtx,
         deadline: Instant,
-        trace: &mut QueryTrace,
+        phases: &mut PhaseNanos,
     ) -> Result<QueryResponse> {
         let _permit = if self.config.admission {
             let permit = self
@@ -553,11 +571,9 @@ impl Broker {
             None
         };
         match physical {
-            [table] => trace.span(format!("physical:{table}"), |t| {
-                self.execute_physical(table, query, tenant, ctx, deadline, None, t)
-            }),
+            [table] => self.execute_physical(table, query, tenant, ctx, deadline, None, phases),
             [offline, realtime] => {
-                self.execute_hybrid(offline, realtime, query, tenant, ctx, deadline, trace)
+                self.execute_hybrid(offline, realtime, query, tenant, ctx, deadline, phases)
             }
             _ => Err(PinotError::Internal(format!(
                 "unexpected physical resolution {physical:?}"
@@ -576,12 +592,12 @@ impl Broker {
         tenant: &str,
         ctx: QueryCtx,
         deadline: Instant,
-        trace: &mut QueryTrace,
+        phases: &mut PhaseNanos,
     ) -> Result<QueryResponse> {
         let time_column = self
             .table_time_column(offline)?
             .ok_or_else(|| PinotError::Metadata(format!("{offline} has no time column")))?;
-        let boundary = trace.span("time_boundary", |_| self.offline_time_boundary(offline));
+        let boundary = self.offline_time_boundary(offline);
 
         let (offline_query, realtime_query) = match boundary {
             None => (None, Some(Arc::clone(query))), // no offline data yet
@@ -607,15 +623,10 @@ impl Broker {
         };
 
         let mut responses = Vec::new();
-        if let Some(q) = offline_query {
-            responses.push(trace.span(format!("physical:{offline}"), |t| {
-                self.execute_physical(offline, &q, tenant, ctx, deadline, Some(query), t)
-            })?);
-        }
-        if let Some(q) = realtime_query {
-            responses.push(trace.span(format!("physical:{realtime}"), |t| {
-                self.execute_physical(realtime, &q, tenant, ctx, deadline, Some(query), t)
-            })?);
+        for (table, side) in [(offline, offline_query), (realtime, realtime_query)] {
+            let Some(q) = side else { continue };
+            let r = self.execute_physical(table, &q, tenant, ctx, deadline, Some(query), phases)?;
+            responses.push(r);
         }
         // Merge the per-side responses.
         let mut iter = responses.into_iter();
@@ -649,10 +660,13 @@ impl Broker {
         ctx: QueryCtx,
         deadline: Instant,
         finalize_as: Option<&Arc<Query>>,
-        trace: &mut QueryTrace,
+        phases: &mut PhaseNanos,
     ) -> Result<QueryResponse> {
         let phys_started = Instant::now();
-        let (plan, partition_skipped) = trace.span("route", |_| self.route(table, query))?;
+        let (routed, _) = self.timed("broker.phase.route_ms", &mut phases.route, || {
+            self.route(table, query)
+        });
+        let (plan, partition_skipped) = routed?;
         let replicas = self.segment_replicas(table);
 
         // Broker-level pruning: partition-routing exclusions become visible
@@ -704,20 +718,14 @@ impl Broker {
             let svc = self.executors.read().get(&server).cloned();
             let call_started = Instant::now();
             let outcome = match svc {
-                Some(svc) => {
-                    trace.span(format!("server:{server}"), |_| guarded_execute(&*svc, &req))
-                }
+                Some(svc) => guarded_execute(&*svc, &req),
                 None => Err(PinotError::Cluster(format!("no endpoint for {server}"))),
             };
-            server_wall_ns.insert(server.to_string(), call_started.elapsed().as_nanos() as u64);
             let mut responded = 0u64;
             match outcome {
                 Ok(partial) => {
                     responded = 1;
-                    self.latency.observe(
-                        &server.to_string(),
-                        call_started.elapsed().as_secs_f64() * 1e3,
-                    );
+                    self.observe_reply(&server, call_started.elapsed(), &mut server_wall_ns);
                     acc.stats.per_server.push(ServerContribution {
                         server: server.to_string(),
                         responded: true,
@@ -754,7 +762,10 @@ impl Broker {
             let partial = !exceptions.is_empty();
             let profile_nodes = acc.profile.take();
             let stats = acc.stats.clone();
-            let result = trace.span("merge", |_| finalize(acc, final_query))?;
+            let (result, merge_ns) = self.timed("broker.phase.merge_ms", &mut phases.merge, || {
+                finalize(acc, final_query)
+            });
+            let result = result?;
             let profile = ctx.profile.then(|| {
                 self.broker_profile(
                     ctx,
@@ -763,7 +774,7 @@ impl Broker {
                     &stats,
                     &server_wall_ns,
                     phys_started.elapsed().as_nanos() as u64,
-                    trace,
+                    &[("merge", merge_ns)],
                 )
             });
             return Ok(QueryResponse {
@@ -783,7 +794,7 @@ impl Broker {
         let (tx, rx) = bounded::<ScatterReply>(plan.len().max(1) * 2);
         let mut pending: BTreeMap<InstanceId, PendingSlice> = BTreeMap::new();
         let scatter_started = Instant::now();
-        trace.span("scatter", |_| {
+        let ((), scatter_ns) = self.timed("broker.phase.scatter_ms", &mut phases.scatter, || {
             for (server, segments) in plan {
                 pending.insert(
                     server.clone(),
@@ -835,11 +846,8 @@ impl Broker {
         // primaries finish, exactly as before hedging existed.
         let hedge_at: Option<Instant> = if self.config.hedge && !pending.is_empty() {
             self.latency.healthy_quantile(0.99).map(|p99| {
-                let floor = self
-                    .hedge_floor_ms
-                    .load(std::sync::atomic::Ordering::Relaxed) as f64;
                 scatter_started
-                    + Duration::from_secs_f64((p99 * HEDGE_DELAY_FACTOR).max(floor) / 1e3)
+                    + Duration::from_secs_f64((p99 * HEDGE_DELAY_FACTOR).max(HEDGE_FLOOR_MS) / 1e3)
             })
         } else {
             None
@@ -860,7 +868,7 @@ impl Broker {
         let mut hedges_won = 0u64;
         let mut failed: HashSet<InstanceId> = HashSet::new();
         let mut server_wall_ns: HashMap<String, u64> = HashMap::new();
-        trace.span("gather", |trace| -> Result<()> {
+        let (gather, gather_ns) = self.timed("broker.phase.gather_ms", &mut phases.gather, || {
             while !pending.is_empty() {
                 let now = Instant::now();
                 if now >= deadline {
@@ -936,32 +944,11 @@ impl Broker {
                             Ok(partial) => {
                                 pending.remove(&reply.origin);
                                 responded += 1;
-                                let wall = scatter_started.elapsed();
-                                self.latency
-                                    .observe(&reply.actual.to_string(), wall.as_secs_f64() * 1e3);
-                                server_wall_ns
-                                    .insert(reply.actual.to_string(), wall.as_nanos() as u64);
-                                let server_span = trace.record_span_ms(
-                                    format!("server:{}", reply.actual),
-                                    partial.stats.time_used_ms as f64,
+                                self.observe_reply(
+                                    &reply.actual,
+                                    scatter_started.elapsed(),
+                                    &mut server_wall_ns,
                                 );
-                                // Nest the server's slowest segments under
-                                // its span, via the explicit parent token so
-                                // depths stay right however the gather
-                                // interleaves.
-                                if let Some(root) = &partial.profile {
-                                    for seg in
-                                        root.children.iter().filter(|c| c.operator == "segment")
-                                    {
-                                        if let Some(name) = &seg.name {
-                                            trace.record_span_under(
-                                                Some(server_span),
-                                                format!("segment:{name}"),
-                                                seg.elapsed_ns as f64 / 1e6,
-                                            );
-                                        }
-                                    }
-                                }
                                 if is_hedge {
                                     hedges_won += 1;
                                     self.obs.metrics.counter_add("broker.hedge_won", 1);
@@ -1028,8 +1015,9 @@ impl Broker {
                     }
                 }
             }
-            Ok(())
-        })?;
+            Ok::<(), PinotError>(())
+        });
+        gather?;
         // Servers that never answered before the deadline: record them so a
         // partial response says exactly which servers' data is missing.
         for server in pending.keys() {
@@ -1048,7 +1036,10 @@ impl Broker {
         let partial = !exceptions.is_empty();
         let profile_nodes = acc.profile.take();
         let stats = acc.stats.clone();
-        let result = trace.span("merge", |_| finalize(acc, final_query))?;
+        let (result, merge_ns) = self.timed("broker.phase.merge_ms", &mut phases.merge, || {
+            finalize(acc, final_query)
+        });
+        let result = result?;
         let profile = ctx.profile.then(|| {
             self.broker_profile(
                 ctx,
@@ -1057,7 +1048,11 @@ impl Broker {
                 &stats,
                 &server_wall_ns,
                 phys_started.elapsed().as_nanos() as u64,
-                trace,
+                &[
+                    ("scatter", scatter_ns),
+                    ("gather", gather_ns),
+                    ("merge", merge_ns),
+                ],
             )
         });
         Ok(QueryResponse {
@@ -1070,7 +1065,7 @@ impl Broker {
     }
 
     /// Assemble the cluster-wide profile root for one physical-table
-    /// scatter: phase timings lifted from the trace, a per-server
+    /// scatter: this side's phase timings, a per-server
     /// network+queue breakdown (broker-observed wall clock minus the
     /// server's own reported time), broker-level prune summaries, and the
     /// servers' trees underneath.
@@ -1083,19 +1078,13 @@ impl Broker {
         stats: &ExecutionStats,
         server_wall_ns: &HashMap<String, u64>,
         elapsed_ns: u64,
-        trace: &QueryTrace,
+        phases: &[(&'static str, u64)],
     ) -> QueryProfile {
         let mut root = ProfileNode::named("broker", self.id.to_string());
         root.docs_in = stats.total_docs;
         root.docs_out = stats.num_docs_scanned;
         root.elapsed_ns = elapsed_ns;
-        for phase in ["scatter", "gather", "merge"] {
-            if let Some(span) = trace.spans.iter().rev().find(|s| s.name == phase) {
-                let mut p = ProfileNode::new(phase);
-                p.elapsed_ns = (span.duration_ms * 1e6) as u64;
-                root.children.push(p);
-            }
-        }
+        root.children.extend(phase_nodes(phases));
         root.children.extend(skips.profile_nodes());
         if stats.hedges_issued > 0 {
             root.children.push(ProfileNode::named(
@@ -1686,6 +1675,17 @@ struct FailoverOutcome {
     covered_by: Vec<String>,
     /// Segments no surviving replica could serve — genuinely missing data.
     lost: Vec<String>,
+}
+
+/// One profile node per broker phase that ran, in the order given. A
+/// phase that never ran (scatter and gather on the single-server fast
+/// path) reads 0 ns and gets no node.
+fn phase_nodes<'a>(phases: &'a [(&'static str, u64)]) -> impl Iterator<Item = ProfileNode> + 'a {
+    phases.iter().filter(|(_, ns)| *ns > 0).map(|&(phase, ns)| {
+        let mut node = ProfileNode::new(phase);
+        node.elapsed_ns = ns;
+        node
+    })
 }
 
 /// Collapse duplicate per-server entries (a replica that served its own

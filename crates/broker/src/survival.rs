@@ -28,7 +28,7 @@ use std::time::Instant;
 /// Per-tenant concurrency limits with a bounded broker-wide wait queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionLimits {
-    /// Concurrent in-scatter queries allowed per weight unit of a tenant.
+    /// Concurrent in-scatter queries allowed per tenant.
     pub per_tenant: usize,
     /// Broker-wide cap on queries parked waiting for a slot; arrivals
     /// beyond this are shed immediately.
@@ -46,9 +46,6 @@ impl Default for AdmissionLimits {
 
 struct AdmState {
     limits: AdmissionLimits,
-    /// Tenant weight multiplier (default 1): a weight-2 tenant gets twice
-    /// the concurrency slots of a weight-1 tenant.
-    weights: HashMap<String, u32>,
     /// In-flight admitted queries per tenant.
     active: HashMap<String, usize>,
     /// Queries currently parked in `admit`.
@@ -74,7 +71,6 @@ impl AdmissionController {
         AdmissionController {
             state: Mutex::new(AdmState {
                 limits,
-                weights: HashMap::new(),
                 active: HashMap::new(),
                 queued: 0,
             }),
@@ -87,18 +83,8 @@ impl AdmissionController {
         self.cv.notify_all();
     }
 
-    pub fn set_weight(&self, tenant: &str, weight: u32) {
-        self.state
-            .lock()
-            .unwrap()
-            .weights
-            .insert(tenant.to_string(), weight.max(1));
-        self.cv.notify_all();
-    }
-
-    fn slots_for(state: &AdmState, tenant: &str) -> usize {
-        let weight = state.weights.get(tenant).copied().unwrap_or(1) as usize;
-        state.limits.per_tenant.saturating_mul(weight)
+    fn has_slot(state: &AdmState, tenant: &str) -> bool {
+        *state.active.get(tenant).unwrap_or(&0) < state.limits.per_tenant
     }
 
     /// Admit `tenant` or park until a slot frees, the queue overflows, or
@@ -113,7 +99,7 @@ impl AdmissionController {
         mut queued_cb: impl FnMut(),
     ) -> Result<AdmissionPermit> {
         let mut state = self.state.lock().unwrap();
-        if *state.active.get(tenant).unwrap_or(&0) < Self::slots_for(&state, tenant) {
+        if Self::has_slot(&state, tenant) {
             *state.active.entry(tenant.to_string()).or_insert(0) += 1;
             return Ok(self.permit(tenant));
         }
@@ -135,7 +121,7 @@ impl AdmissionController {
             }
             let (next, timeout) = self.cv.wait_timeout(state, deadline - now).unwrap();
             state = next;
-            if *state.active.get(tenant).unwrap_or(&0) < Self::slots_for(&state, tenant) {
+            if Self::has_slot(&state, tenant) {
                 state.queued -= 1;
                 *state.active.entry(tenant.to_string()).or_insert(0) += 1;
                 return Ok(self.permit(tenant));
@@ -450,21 +436,6 @@ mod tests {
         assert_eq!(err.kind(), "overloaded");
         // The shed waiter must have released its queue slot.
         assert_eq!(adm.state.lock().unwrap().queued, 0);
-    }
-
-    #[test]
-    fn admission_weight_multiplies_slots() {
-        let adm = Arc::new(AdmissionController::new(AdmissionLimits {
-            per_tenant: 1,
-            queue: 0,
-        }));
-        adm.set_weight("big", 3);
-        let _p1 = adm.admit("big", far_deadline(), || {}).unwrap();
-        let _p2 = adm.admit("big", far_deadline(), || {}).unwrap();
-        let _p3 = adm.admit("big", far_deadline(), || {}).unwrap();
-        assert!(adm.admit("big", far_deadline(), || {}).is_err());
-        // A different tenant is unaffected by "big" saturating its slots.
-        let _q = adm.admit("small", far_deadline(), || {}).unwrap();
     }
 
     #[test]

@@ -74,8 +74,9 @@ pub fn clamp_morsel_docs(docs: usize) -> usize {
 pub struct EngineConfig {
     /// `PINOT_TASKPOOL_THREADS` — worker threads of every server and
     /// broker task pool, at least 1. Default: `available_parallelism`.
-    /// `1` gives one worker and strict FIFO execution, the deterministic
-    /// schedule the parallel path is compared against.
+    /// `1` gives one worker, which the waiting scope owner helps; task
+    /// order is still unspecified, and results stay deterministic because
+    /// every merge is slot-ordered, not because of the schedule.
     pub taskpool_threads: usize,
     /// `PINOT_EXEC_PLANNER` — access-path strategy for filter leaves:
     /// `auto` (default) | `scan` | `inverted` | `sorted`. The forced

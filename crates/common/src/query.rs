@@ -158,8 +158,6 @@ pub struct ExecutionStats {
     pub num_segments_metadata_only: u64,
     pub num_segments_star_tree: u64,
     pub num_segments_raw: u64,
-    /// `(segment name, plan kind)` for each segment executed.
-    pub segment_plans: Vec<(String, String)>,
     /// Per-server accounting filled in by the broker during gather; on a
     /// partial response the non-responding servers appear with
     /// `responded: false`.
@@ -196,8 +194,6 @@ impl ExecutionStats {
         self.num_segments_metadata_only += other.num_segments_metadata_only;
         self.num_segments_star_tree += other.num_segments_star_tree;
         self.num_segments_raw += other.num_segments_raw;
-        self.segment_plans
-            .extend(other.segment_plans.iter().cloned());
         self.per_server.extend(other.per_server.iter().cloned());
         self.hedges_issued += other.hedges_issued;
         self.hedges_won += other.hedges_won;

@@ -40,7 +40,7 @@ use pinot_exec::segment_exec::IntermediateResult;
 use pinot_metastore::MetaStore;
 use pinot_minion::{Minion, PurgeSpec, TaskReport};
 use pinot_objstore::{MemoryObjectStore, ObjectStoreRef};
-use pinot_obs::{MetricsSnapshot, Obs, QueryLogEntry, QueryTrace};
+use pinot_obs::{MetricsSnapshot, Obs, QueryLogEntry};
 use pinot_segment::builder::{BuilderConfig, SegmentBuilder};
 use pinot_segment::metadata::PartitionInfo;
 use pinot_server::{Server, ServerRequest};
@@ -500,13 +500,6 @@ impl PinotCluster {
         self.broker().execute(request)
     }
 
-    /// Execute a query through a broker, returning its [`QueryTrace`]
-    /// (phase spans, per-server times, per-segment plan kinds) alongside
-    /// the response.
-    pub fn execute_traced(&self, request: &QueryRequest) -> (QueryResponse, QueryTrace) {
-        self.broker().execute_traced(request)
-    }
-
     /// Convenience: run a PQL string with default settings.
     pub fn query(&self, pql: &str) -> QueryResponse {
         self.execute(&QueryRequest::new(pql))
@@ -643,7 +636,7 @@ impl PinotCluster {
         self.obs.metrics.snapshot()
     }
 
-    /// Recent slow, partial, or errored queries (with their traces).
+    /// Recent slow, partial, or errored queries (with their profiles).
     pub fn recent_queries(&self) -> Vec<QueryLogEntry> {
         self.obs.query_log.recent()
     }

@@ -3,8 +3,8 @@
 //! the merged broker → server → segment profile tree must reconcile
 //! *exactly* with `ExecutionStats` on the same seeded differential corpus
 //! the engine-vs-baseline tests use. Also covers EXPLAIN rendering, the
-//! slow-query-log profile attachment, deterministic query ids, and trace
-//! span nesting for scattered segment work.
+//! slow-query-log profile attachment, deterministic query ids, and
+//! segment nodes nesting under their server for scattered segment work.
 
 use pinot_common::config::TableConfig;
 use pinot_common::profile::ProfileNode;
@@ -463,32 +463,42 @@ fn query_ids_are_deterministic_nonzero_and_distinct() {
     assert_eq!(dedup.len(), ids_a.len(), "ids must be distinct: {ids_a:?}");
 }
 
-/// Under a profiled scattered query, per-segment spans nest under their
-/// server's span in the trace (the taskpool handoff preserves parents).
-#[test]
-fn traced_profile_nests_segment_spans_under_server_spans() {
-    let cluster = start_cluster(&gen_rows(9));
-    let req = QueryRequest::new(format!("SELECT SUM(clicks) FROM {TABLE}")).with_profile();
-    let (resp, trace) = cluster.execute_traced(&req);
-    assert!(!resp.partial, "{:?}", resp.exceptions);
-
-    let segment_spans: Vec<_> = trace
-        .spans
+/// Segment nodes that do not sit under a `server` node.
+fn segments_outside_servers(node: &ProfileNode, under_server: bool) -> u64 {
+    let under_server = under_server || node.operator == "server";
+    let own = u64::from(node.operator == "segment" && !under_server);
+    own + node
+        .children
         .iter()
-        .filter(|s| s.name.starts_with("segment:"))
-        .collect();
+        .map(|c| segments_outside_servers(c, under_server))
+        .sum::<u64>()
+}
+
+/// Under a profiled scattered query, every per-segment node nests under
+/// the server node that executed it.
+#[test]
+fn profiled_scatter_nests_segment_nodes_under_server_nodes() {
+    let cluster = start_cluster(&gen_rows(9));
+    let resp = cluster.execute_profiled(&QueryRequest::new(format!(
+        "SELECT SUM(clicks) FROM {TABLE}"
+    )));
+    assert!(!resp.partial, "{:?}", resp.exceptions);
+    let root = &resp.profile.as_ref().expect("profiled response").root;
+
     assert!(
-        !segment_spans.is_empty(),
-        "profiled scatter must record per-segment spans: {:?}",
-        trace.spans.iter().map(|s| &s.name).collect::<Vec<_>>()
+        root.count_nodes(&|n| n.operator == "server") >= 2,
+        "expected a multi-server scatter:\n{}",
+        root.render_text()
     );
-    for span in segment_spans {
-        let parent = span.parent.expect("segment span has a parent");
-        assert!(
-            trace.spans[parent].name.starts_with("server:"),
-            "segment span {:?} nests under {:?}",
-            span.name,
-            trace.spans[parent].name
-        );
-    }
+    assert!(
+        root.count_nodes(&|n| n.operator == "segment") > 0,
+        "profiled scatter must record per-segment nodes:\n{}",
+        root.render_text()
+    );
+    assert_eq!(
+        segments_outside_servers(root, false),
+        0,
+        "segment nodes outside any server:\n{}",
+        root.render_text()
+    );
 }

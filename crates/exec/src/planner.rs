@@ -30,7 +30,7 @@ pub enum PlanKind {
 }
 
 impl PlanKind {
-    /// Stable lowercase label used in stats and query traces.
+    /// Stable lowercase label used in profiles and EXPLAIN output.
     pub fn as_str(self) -> &'static str {
         match self {
             PlanKind::MetadataOnly => "metadata_only",

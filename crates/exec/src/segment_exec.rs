@@ -119,7 +119,7 @@ pub fn execute_on_segment_with(
 
     // 1. Metadata-only plan.
     if let Some(values) = planner::metadata_only_plan(segment, query) {
-        record_plan(&mut stats, segment.name(), planner::PlanKind::MetadataOnly);
+        record_plan(&mut stats, planner::PlanKind::MetadataOnly);
         let aggs = query.aggregations();
         let mut states = Vec::with_capacity(aggs.len());
         for (a, v) in aggs.iter().zip(values) {
@@ -157,7 +157,7 @@ pub fn execute_on_segment_with(
     // 2. Star-tree plan.
     if let Some((filters, group_dims)) = planner::try_star_tree(handle, query) {
         let tree = handle.star_tree.as_ref().expect("checked by try_star_tree");
-        record_plan(&mut stats, segment.name(), planner::PlanKind::StarTree);
+        record_plan(&mut stats, planner::PlanKind::StarTree);
         let mut result = execute_star_tree(segment, tree, query, &filters, &group_dims, stats)?;
         result.profile = seg_start.map(|t| {
             let ns = t.elapsed().as_nanos() as u64;
@@ -179,7 +179,7 @@ pub fn execute_on_segment_with(
     }
 
     // 3. Raw plan: filter then aggregate / group / select.
-    record_plan(&mut stats, segment.name(), planner::PlanKind::Raw);
+    record_plan(&mut stats, planner::PlanKind::Raw);
     let filter_start = opts.profile.then(std::time::Instant::now);
     // Per-conjunct measurements (chosen path, estimated vs actual docs)
     // are collected only for EXPLAIN ANALYZE; plain profiled execution
@@ -444,15 +444,12 @@ fn segment_profile_node(name: Arc<str>, kind: planner::PlanKind) -> ProfileNode 
     seg
 }
 
-fn record_plan(stats: &mut ExecutionStats, segment_name: &str, kind: planner::PlanKind) {
+fn record_plan(stats: &mut ExecutionStats, kind: planner::PlanKind) {
     match kind {
         planner::PlanKind::MetadataOnly => stats.num_segments_metadata_only += 1,
         planner::PlanKind::StarTree => stats.num_segments_star_tree += 1,
         planner::PlanKind::Raw => stats.num_segments_raw += 1,
     }
-    stats
-        .segment_plans
-        .push((segment_name.to_string(), kind.as_str().to_string()));
 }
 
 fn execute_star_tree(

@@ -1,13 +1,11 @@
 //! pinot-obs: dependency-light in-process observability for the cluster.
 //!
-//! Three pieces, all shareable across threads behind one [`Obs`] handle:
+//! Two pieces, both shareable across threads behind one [`Obs`] handle:
 //!
 //! - [`MetricsRegistry`] — name-sharded counters, gauges, and fixed-boundary
 //!   latency histograms with interpolated p50/p95/p99 estimation.
-//! - [`QueryTrace`] — per-query span tree (parse → route → scatter →
-//!   per-server execute → gather → merge) plus per-segment plan kinds and
-//!   scan counters.
-//! - [`QueryLog`] — bounded ring of recent slow/partial/errored queries.
+//! - [`QueryLog`] — bounded ring of recent slow/partial/errored queries,
+//!   each carrying its `QueryProfile` tree.
 //!
 //! Every cluster component records into the same registry under a flat
 //! dotted namespace; the catalogue of names lives in DESIGN.md.
@@ -15,15 +13,12 @@
 pub mod latency;
 pub mod metrics;
 pub mod querylog;
-pub mod trace;
 
 pub use latency::LatencyDigest;
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, LATENCY_MS_BOUNDARIES};
 pub use querylog::{QueryLog, QueryLogEntry};
-pub use trace::{ParentId, QueryTrace, Span, SpanHandle};
 
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Default capacity of the slow-query ring.
 pub const DEFAULT_QUERY_LOG_CAPACITY: usize = 128;
@@ -67,50 +62,9 @@ impl Obs {
     }
 }
 
-/// Time a region and record it into a histogram on drop — for callers that
-/// want phase timing without threading a trace through.
-pub struct Timer<'a> {
-    obs: &'a Obs,
-    name: &'a str,
-    start: Instant,
-}
-
-impl<'a> Timer<'a> {
-    pub fn start(obs: &'a Obs, name: &'a str) -> Timer<'a> {
-        Timer {
-            obs,
-            name,
-            start: Instant::now(),
-        }
-    }
-
-    pub fn elapsed_ms(&self) -> f64 {
-        self.start.elapsed().as_secs_f64() * 1e3
-    }
-}
-
-impl Drop for Timer<'_> {
-    fn drop(&mut self) {
-        self.obs.metrics.observe_ms(self.name, self.elapsed_ms());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timer_records_on_drop() {
-        let obs = Obs::new();
-        {
-            let _t = Timer::start(&obs, "phase.test_ms");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let snap = obs.metrics.snapshot();
-        let h = snap.histogram("phase.test_ms").expect("histogram recorded");
-        assert_eq!(h.count(), 1);
-        assert!(h.max() >= 1.0);
-    }
 
     #[test]
     fn obs_is_share_and_send() {

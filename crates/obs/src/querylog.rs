@@ -2,7 +2,6 @@
 //! partial, or that raised exceptions. The broker records every finished
 //! query; the ring keeps the most recent qualifying ones.
 
-use crate::trace::QueryTrace;
 use parking_lot::Mutex;
 use pinot_common::profile::QueryProfile;
 use std::collections::VecDeque;
@@ -11,16 +10,15 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone)]
 pub struct QueryLogEntry {
     pub query: String,
-    /// Broker-assigned query id; joins this entry with trace spans and
-    /// per-server execution stats.
+    /// Broker-assigned query id; joins this entry with the response's
+    /// stats and profile.
     pub query_id: u64,
     pub time_used_ms: u64,
     pub partial: bool,
     pub exception_count: usize,
-    pub trace: Option<QueryTrace>,
-    /// Merged broker → server → segment operator profile, when the query
-    /// ran with profiling enabled — every logged slow query carries the
-    /// tree that names its dominant operator.
+    /// The response's broker → server → segment operator profile when
+    /// the query ran with profiling enabled; otherwise a `broker` root
+    /// holding only the broker's phase timings.
     pub profile: Option<QueryProfile>,
 }
 
@@ -43,8 +41,8 @@ impl QueryLog {
 
     /// Whether a query with these outcomes would qualify for the log —
     /// callers on the hot path check this *before* building an entry, so
-    /// fast clean queries never pay for cloning the pql, trace, and
-    /// profile tree into an entry that would be dropped anyway.
+    /// fast clean queries never pay for cloning the pql and profile tree
+    /// into an entry that would be dropped anyway.
     pub fn would_keep(&self, time_used_ms: u64, partial: bool, exceptions: usize) -> bool {
         partial || exceptions > 0 || time_used_ms >= self.slow_threshold_ms
     }
@@ -88,7 +86,6 @@ mod tests {
             time_used_ms: ms,
             partial,
             exception_count: 0,
-            trace: None,
             profile: None,
         }
     }

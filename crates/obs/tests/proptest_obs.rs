@@ -1,8 +1,7 @@
 //! Property tests for the observability primitives: histogram quantile
-//! estimates against the exact sample quantile, and span nesting /
-//! duration accounting in `QueryTrace`.
+//! estimates against the exact sample quantile, and exact summary stats.
 
-use pinot_obs::{Histogram, QueryTrace, LATENCY_MS_BOUNDARIES};
+use pinot_obs::{Histogram, LATENCY_MS_BOUNDARIES};
 use proptest::prelude::*;
 
 /// Exact sample quantile matching `pinot_bench::percentile`'s definition:
@@ -83,59 +82,5 @@ proptest! {
         }
         prop_assert!(hist.quantile(0.0) >= hist.min() - 1e-9);
         prop_assert!(hist.quantile(1.0) <= hist.max() + 1e-9);
-    }
-
-    /// Externally-timed spans recorded at depth 0 sum exactly to
-    /// `total_ms`.
-    #[test]
-    fn recorded_spans_sum_to_total(
-        durations in proptest::collection::vec(0.0f64..10.0, 1..20),
-    ) {
-        let mut trace = QueryTrace::new("q");
-        for (i, d) in durations.iter().enumerate() {
-            trace.record_span_ms(format!("s{i}"), *d);
-        }
-        let sum: f64 = durations.iter().sum();
-        prop_assert!((trace.total_ms() - sum).abs() < 1e-9);
-    }
-
-    /// A chain of nested spans closes in LIFO order, records strictly
-    /// increasing depths, and every outer span lasts at least as long as
-    /// the span it encloses; only the depth-0 span counts toward
-    /// `total_ms`.
-    #[test]
-    fn chained_spans_get_increasing_depths(n in 1usize..10) {
-        let mut trace = QueryTrace::new("q");
-        let handles: Vec<_> = (0..n).map(|i| trace.begin(format!("d{i}"))).collect();
-        for handle in handles.into_iter().rev() {
-            trace.end(handle);
-        }
-        prop_assert_eq!(trace.spans.len(), n);
-        for (i, span) in trace.spans.iter().enumerate() {
-            prop_assert_eq!(span.depth as usize, i);
-        }
-        for pair in trace.spans.windows(2) {
-            prop_assert!(pair[0].duration_ms >= pair[1].duration_ms - 1e-9);
-        }
-        prop_assert!((trace.total_ms() - trace.spans[0].duration_ms).abs() < 1e-9);
-    }
-
-    /// Nested spans recorded via `record_span_ms` inside an open span land
-    /// one level deeper and do not count toward `total_ms`.
-    #[test]
-    fn nested_recorded_spans_do_not_inflate_total(
-        inner in proptest::collection::vec(0.0f64..5.0, 1..8),
-    ) {
-        let mut trace = QueryTrace::new("q");
-        let outer = trace.begin("outer");
-        for (i, d) in inner.iter().enumerate() {
-            trace.record_span_ms(format!("inner{i}"), *d);
-        }
-        trace.end(outer);
-        prop_assert_eq!(
-            trace.spans.iter().filter(|s| s.depth == 1).count(),
-            inner.len()
-        );
-        prop_assert!((trace.total_ms() - trace.spans[0].duration_ms).abs() < 1e-9);
     }
 }

@@ -123,7 +123,7 @@ pub struct ServerRequest {
     /// elapsed — nobody is waiting for the rest.
     pub deadline: Option<std::time::Instant>,
     /// Broker-assigned query id, echoed back in the partial's stats so
-    /// spans, logs, and profiles from every server join on one key.
+    /// stats, logs, and profiles from every server join on one key.
     pub query_id: u64,
     /// Collect a per-operator profile tree alongside the partial result.
     /// Never changes the result payload or stats.

@@ -643,17 +643,21 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_mode_is_fifo() {
+    fn single_thread_mode_runs_every_task_once() {
         let pool = TaskPool::with_threads(1, None);
-        let order = Mutex::new(Vec::new());
+        let ran = Mutex::new(Vec::new());
         pool.scope(|s| {
             for i in 0..50 {
-                let order = &order;
-                s.spawn(move || order.lock().push(i));
+                let ran = &ran;
+                s.spawn(move || ran.lock().push(i));
             }
         });
-        // One worker + FIFO queues; the helping waiter also pops FIFO.
-        assert_eq!(*order.lock(), (0..50).collect::<Vec<_>>());
+        // The worker and the helping scope owner both pop, so completion
+        // order is not defined; callers get determinism from slot-ordered
+        // merges, not from the schedule.
+        let mut ran = ran.into_inner();
+        ran.sort_unstable();
+        assert_eq!(ran, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

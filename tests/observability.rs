@@ -1,11 +1,12 @@
 //! End-to-end observability: after a hybrid (offline + realtime) workload
 //! the cluster-wide metrics snapshot must show broker phase timings,
 //! server queue/execute timings, ingestion lag, and completion-protocol
-//! activity; traced queries must expose phase spans, per-segment plan
-//! kinds, and per-server contributions; partial queries must land in the
-//! slow/partial query log.
+//! activity; profiled queries must expose broker phase nodes, per-segment
+//! plan kinds, and per-server contributions; partial queries must land in
+//! the slow/partial query log with a profile naming the broker's phases.
 
 use pinot::common::config::{StreamConfig, TableConfig};
+use pinot::common::profile::ProfileNode;
 use pinot::common::query::QueryRequest;
 use pinot::common::time::Clock;
 use pinot::common::{DataType, FieldSpec, Record, Schema, TimeUnit, Value};
@@ -100,32 +101,44 @@ fn hybrid_workload_populates_metrics_and_traces() {
         30
     );
 
-    // Traced query: spans, plan kinds, and per-server contributions.
-    let (resp, trace) = cluster.execute_traced(&QueryRequest::new("SELECT COUNT(*) FROM events"));
+    // Profiled query: phase nodes, plan kinds, and per-server contributions.
+    let resp = cluster.execute_profiled(&QueryRequest::new("SELECT COUNT(*) FROM events"));
     assert!(!resp.partial, "{:?}", resp.exceptions);
-    assert!(!trace.spans.is_empty());
-    assert!(trace.spans.iter().any(|s| s.name == "parse"));
-    assert!(trace.spans.iter().any(|s| s.name.starts_with("physical:")));
-    // Depth-0 spans tile the whole execution: their durations sum to the
-    // reported query time (both measured on the same wall clock).
-    let depth0_ms: f64 = trace
-        .spans
+    let root = &resp.profile.as_ref().expect("profiled response").root;
+    let tree = root.render_text();
+    let phase_ns: Vec<u64> = root
+        .children
         .iter()
-        .filter(|s| s.depth == 0)
-        .map(|s| s.duration_ms)
-        .sum();
-    let reported = resp.stats.time_used_ms as f64;
+        .filter(|c| matches!(c.operator, "scatter" | "gather" | "merge"))
+        .map(|c| c.elapsed_ns)
+        .collect();
+    assert!(!phase_ns.is_empty(), "no phase nodes:\n{tree}");
+    // Phases run inside the broker's execution, which runs inside the
+    // reported query time (whole milliseconds, truncated).
     assert!(
-        (depth0_ms - reported).abs() <= 5.0,
-        "span sum {depth0_ms} vs time_used_ms {reported}"
+        phase_ns.iter().sum::<u64>() <= root.elapsed_ns,
+        "phases {phase_ns:?} exceed the broker root:\n{tree}"
     );
-    assert!(!trace.segment_plans.is_empty());
-    for (seg, kind) in &trace.segment_plans {
-        assert!(
-            matches!(kind.as_str(), "metadata_only" | "star_tree" | "raw"),
-            "{seg}: unknown plan kind {kind}"
-        );
-    }
+    assert!(
+        root.elapsed_ns <= (resp.stats.time_used_ms + 1) * 1_000_000,
+        "broker root {} ns vs time_used_ms {}",
+        root.elapsed_ns,
+        resp.stats.time_used_ms
+    );
+    // Executed segments name their plan; pruned ones name their prune.
+    assert!(
+        root.count_nodes(&|n| n.operator == "segment" && n.prune.is_none()) > 0,
+        "no executed segment nodes:\n{tree}"
+    );
+    assert_eq!(
+        root.count_nodes(&|n| {
+            n.operator == "segment"
+                && n.prune.is_none()
+                && !matches!(n.plan_kind, Some("metadata_only" | "star_tree" | "raw"))
+        }),
+        0,
+        "segment node without a known plan kind:\n{tree}"
+    );
     assert!(!resp.stats.per_server.is_empty());
     assert!(resp.stats.per_server.iter().all(|c| c.responded));
 
@@ -169,19 +182,24 @@ fn hybrid_workload_populates_metrics_and_traces() {
     assert!(text.contains("broker.phase.parse_ms"));
 }
 
-#[test]
-fn timed_out_queries_land_in_query_log_with_per_server_stats() {
+/// Four segments spread over two servers, so the broker takes the
+/// scatter/gather path (the single-server fast path has no timeout to hit
+/// before the one server's synchronous call returns).
+fn scatter_cluster() -> PinotCluster {
     let cluster = PinotCluster::start(ClusterConfig::default().with_servers(2)).unwrap();
     cluster
         .create_table(TableConfig::offline("events"), schema())
         .unwrap();
-    // Four segments spread over two servers so the broker takes the
-    // scatter/gather path (the single-server fast path has no timeout to
-    // hit before the one server's synchronous call returns).
     for batch in 0..4i64 {
         let rows: Vec<Record> = (0..20).map(|i| row(batch * 100 + i, "a", 1, 100)).collect();
         cluster.upload_rows("events", rows).unwrap();
     }
+    cluster
+}
+
+#[test]
+fn timed_out_queries_land_in_query_log_with_per_server_stats() {
+    let cluster = scatter_cluster();
     assert_eq!(count(&cluster, "SELECT COUNT(*) FROM events"), 80);
 
     // An already-expired deadline forces a scatter timeout: the response is
@@ -192,6 +210,10 @@ fn timed_out_queries_land_in_query_log_with_per_server_stats() {
     assert!(!resp.exceptions.is_empty());
     assert!(!resp.stats.per_server.is_empty());
     assert!(resp.stats.per_server.iter().any(|c| !c.responded));
+    assert!(
+        resp.profile.is_none(),
+        "unprofiled responses carry no profile"
+    );
 
     let snap = cluster.metrics_snapshot();
     assert!(snap.counter("broker.scatter.timeout") >= 1);
@@ -205,6 +227,55 @@ fn timed_out_queries_land_in_query_log_with_per_server_stats() {
     assert!(entry.partial);
     assert!(entry.exception_count > 0);
     assert_eq!(entry.query, "SELECT SUM(n) FROM events");
-    let trace = entry.trace.as_ref().expect("logged query keeps its trace");
-    assert!(trace.spans.iter().any(|s| s.name == "scatter"));
+    // The unprofiled entry still names the broker's phases, and nothing
+    // below them.
+    let root = &entry.profile.as_ref().expect("log keeps the phases").root;
+    assert_eq!(root.operator, "broker");
+    assert!(root.children.iter().any(|c| c.operator == "scatter"));
+    assert!(
+        root.children.iter().all(|c| {
+            matches!(
+                c.operator,
+                "parse" | "route" | "scatter" | "gather" | "merge"
+            ) && c.children.is_empty()
+        }),
+        "phase nodes only:\n{}",
+        root.render_text()
+    );
+    assert_eq!(
+        root.count_nodes(&|n: &ProfileNode| matches!(n.operator, "server" | "segment")),
+        0
+    );
+
+    // A profiled logged query logs exactly its response's profile.
+    let resp = cluster.execute_profiled(&req);
+    assert!(resp.partial);
+    assert!(resp.profile.is_some());
+    let recent = cluster.recent_queries();
+    let entry = recent
+        .iter()
+        .find(|e| e.query_id == resp.stats.query_id)
+        .expect("partial profiled query is logged");
+    assert_eq!(entry.profile, resp.profile);
+}
+
+/// `broker.phase.server_execute_ms` is the broker-observed wall time of
+/// each reply on the scatter path too, so sub-millisecond replies never
+/// read as 0.
+#[test]
+fn server_execute_ms_is_broker_observed_wall_time() {
+    let cluster = scatter_cluster();
+    for _ in 0..10 {
+        assert_eq!(count(&cluster, "SELECT COUNT(*) FROM events"), 80);
+    }
+    let snap = cluster.metrics_snapshot();
+    let hist = snap
+        .histogram("broker.phase.server_execute_ms")
+        .expect("server_execute_ms recorded");
+    assert!(
+        hist.count() >= 20,
+        "two replies per query: {}",
+        hist.count()
+    );
+    assert!(hist.min() > 0.0, "a reply was recorded as 0 ms");
 }
