@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI: formatting, lints, every test in the workspace, and the
+# Local CI: formatting, lints, doc links, every test in the workspace, and the
 # end-to-end benchmark as the last step. Run from the repo root.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -9,6 +9,9 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (workspace, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (workspace, -D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== every test of every crate (unit, integration, proptests, doc) =="
 cargo test --workspace -q

@@ -20,7 +20,7 @@
 //! OFFLINE → DROPPED     (delete local data)
 //! ```
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use pinot_common::ids::InstanceId;
 use pinot_common::{PinotError, Result};
 use pinot_metastore::MetaStore;
@@ -160,6 +160,9 @@ struct Inner {
 pub struct ClusterManager {
     metastore: MetaStore,
     inner: Arc<RwLock<Inner>>,
+    /// Held across every ideal-state read → mutate → store → persist, so
+    /// two concurrent updates of a table cannot lose each other's change.
+    ideal_writes: Arc<Mutex<()>>,
 }
 
 impl ClusterManager {
@@ -172,6 +175,7 @@ impl ClusterManager {
                 view: HashMap::new(),
                 subscribers: Vec::new(),
             })),
+            ideal_writes: Arc::new(Mutex::new(())),
         }
     }
 
@@ -229,22 +233,39 @@ impl ClusterManager {
 
     /// Replace a table's ideal state and reconcile.
     pub fn set_ideal_state(&self, table: &str, ideal: IdealState) -> Result<()> {
-        {
-            let mut inner = self.inner.write();
-            inner.ideal.insert(table.to_string(), ideal.clone());
-        }
-        // Persist for observability and controller failover.
-        let rendered: Vec<String> = ideal
-            .segments
-            .iter()
-            .flat_map(|(seg, m)| {
-                m.iter()
-                    .map(move |(inst, st)| format!("{seg}:{inst}:{}", st.name()))
-            })
-            .collect();
-        self.metastore
-            .set(&format!("/idealstates/{table}"), rendered.join(","), None)?;
-        self.rebalance(table)
+        self.update_ideal_state(table, |current| *current = ideal)
+    }
+
+    /// Read-modify-write a table's ideal state, then reconcile. `f`
+    /// mutates the current state (empty when the table has none); the
+    /// result is stored and persisted before any other update can read
+    /// it. Reconciliation runs after the lock is released, because it
+    /// calls out to participants.
+    pub fn update_ideal_state<T>(
+        &self,
+        table: &str,
+        f: impl FnOnce(&mut IdealState) -> T,
+    ) -> Result<T> {
+        let out = {
+            let _writer = self.ideal_writes.lock();
+            let mut ideal = self.ideal_state(table).unwrap_or_default();
+            let out = f(&mut ideal);
+            // Persist for observability and controller failover.
+            let rendered: Vec<String> = ideal
+                .segments
+                .iter()
+                .flat_map(|(seg, m)| {
+                    m.iter()
+                        .map(move |(inst, st)| format!("{seg}:{inst}:{}", st.name()))
+                })
+                .collect();
+            self.inner.write().ideal.insert(table.to_string(), ideal);
+            self.metastore
+                .set(&format!("/idealstates/{table}"), rendered.join(","), None)?;
+            out
+        };
+        self.rebalance(table)?;
+        Ok(out)
     }
 
     pub fn ideal_state(&self, table: &str) -> Option<IdealState> {
@@ -254,6 +275,7 @@ impl ClusterManager {
     /// Remove a table entirely (ideal state + external view after drops).
     pub fn remove_table(&self, table: &str) -> Result<()> {
         self.set_ideal_state(table, IdealState::default())?;
+        let _writer = self.ideal_writes.lock();
         let mut inner = self.inner.write();
         inner.ideal.remove(table);
         inner.view.remove(table);

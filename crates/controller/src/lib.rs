@@ -216,7 +216,7 @@ impl Controller {
         self.metastore
             .create(&config_path, config.to_json().emit(), None)?;
         self.cluster
-            .set_ideal_state(&table.qualified(), IdealState::default())?;
+            .update_ideal_state(&table.qualified(), |ideal| *ideal = IdealState::default())?;
 
         if config.table_type == TableType::Realtime {
             self.provision_consuming_segments(&table, &config)?;
@@ -326,20 +326,23 @@ impl Controller {
 
         // 4. Assign replicas and update the desired cluster state.
         let servers = self.assign_servers(qualified_table, config.replication)?;
-        let mut ideal = self
-            .cluster
-            .ideal_state(qualified_table)
-            .unwrap_or_default();
+        let name = segment_name.as_str();
         // Re-uploading an existing name replaces the segment: drop old
         // replicas first so servers reload the new blob.
-        if ideal.segments.remove(segment_name.as_str()).is_some() {
-            self.cluster
-                .set_ideal_state(qualified_table, ideal.clone())?;
+        let replacing = self
+            .cluster
+            .ideal_state(qualified_table)
+            .is_some_and(|ideal| ideal.segments.contains_key(name));
+        if replacing {
+            self.cluster.update_ideal_state(qualified_table, |ideal| {
+                ideal.segments.remove(name);
+            })?;
         }
-        for s in servers {
-            ideal.assign(segment_name.as_str(), s, SegmentState::Online);
-        }
-        self.cluster.set_ideal_state(qualified_table, ideal)?;
+        self.cluster.update_ideal_state(qualified_table, |ideal| {
+            for s in servers {
+                ideal.assign(name, s, SegmentState::Online);
+            }
+        })?;
         Ok(segment_name)
     }
 
@@ -436,8 +439,7 @@ impl Controller {
             let unit_ms = tc.time_unit.expect("validated by schema").millis();
             let cutoff_ms = now_ms - retention.duration * retention.unit.millis();
 
-            let mut ideal = self.cluster.ideal_state(&qualified).unwrap_or_default();
-            let mut changed = false;
+            let mut expired = Vec::new();
             for seg in self.list_segments(&qualified) {
                 let Some((text, _)) = self.metastore.get(&format!("/segments/{qualified}/{seg}"))
                 else {
@@ -448,17 +450,23 @@ impl Controller {
                     continue;
                 };
                 if max_time * unit_ms < cutoff_ms {
-                    ideal.segments.remove(&seg);
-                    changed = true;
-                    let _ = self.objstore.delete(&format!("segments/{qualified}/{seg}"));
-                    let _ = self
-                        .metastore
-                        .delete(&format!("/segments/{qualified}/{seg}"));
-                    removed.push((qualified.clone(), seg));
+                    expired.push(seg);
                 }
             }
-            if changed {
-                self.cluster.set_ideal_state(&qualified, ideal)?;
+            if expired.is_empty() {
+                continue;
+            }
+            self.cluster.update_ideal_state(&qualified, |ideal| {
+                for seg in &expired {
+                    ideal.segments.remove(seg);
+                }
+            })?;
+            for seg in expired {
+                let _ = self.objstore.delete(&format!("segments/{qualified}/{seg}"));
+                let _ = self
+                    .metastore
+                    .delete(&format!("/segments/{qualified}/{seg}"));
+                removed.push((qualified.clone(), seg));
             }
         }
         Ok(removed)
@@ -473,7 +481,7 @@ impl Controller {
             .expect("validated: realtime tables have stream configs");
         let topic = self.streams.topic(&stream.topic)?;
         let qualified = table.qualified();
-        let mut ideal = self.cluster.ideal_state(&qualified).unwrap_or_default();
+        let mut assigned = Vec::new();
         for partition in 0..topic.num_partitions() {
             let start = topic.latest_offset(partition)?;
             let segment = SegmentName::realtime(&qualified, partition, 0);
@@ -489,11 +497,15 @@ impl Controller {
                 .emit(),
                 None,
             )?;
-            for s in servers {
-                ideal.assign(segment.as_str(), s, SegmentState::Consuming);
-            }
+            assigned.push((segment, servers));
         }
-        self.cluster.set_ideal_state(&qualified, ideal)
+        self.cluster.update_ideal_state(&qualified, |ideal| {
+            for (segment, servers) in assigned {
+                for s in servers {
+                    ideal.assign(segment.as_str(), s, SegmentState::Consuming);
+                }
+            }
+        })
     }
 
     /// Completion-protocol poll endpoint (servers call this repeatedly when
@@ -588,14 +600,6 @@ impl Controller {
         let (partition, sequence) = segment
             .realtime_parts()
             .ok_or_else(|| PinotError::Internal("commit of non-realtime segment".into()))?;
-        let mut ideal = self
-            .cluster
-            .ideal_state(qualified_table)
-            .unwrap_or_default();
-        let replicas = ideal.instances_for(segment.as_str());
-        for r in &replicas {
-            ideal.assign(segment.as_str(), r.clone(), SegmentState::Online);
-        }
         let next = SegmentName::realtime(qualified_table, partition, sequence + 1);
         self.meta_set_retried(
             &format!("/segments/{qualified_table}/{next}"),
@@ -608,10 +612,14 @@ impl Controller {
             .emit(),
             None,
         )?;
-        for r in &replicas {
-            ideal.assign(next.as_str(), r.clone(), SegmentState::Consuming);
-        }
-        self.cluster.set_ideal_state(qualified_table, ideal)?;
+        // One atomic update: a partition committing in the same tick
+        // must not overwrite this one's change, nor this one its.
+        self.cluster.update_ideal_state(qualified_table, |ideal| {
+            for r in ideal.instances_for(segment.as_str()) {
+                ideal.assign(segment.as_str(), r.clone(), SegmentState::Online);
+                ideal.assign(next.as_str(), r, SegmentState::Consuming);
+            }
+        })?;
         Ok(true)
     }
 

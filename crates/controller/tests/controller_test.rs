@@ -318,3 +318,85 @@ fn delete_table_removes_everything() {
         .download_segment("events_OFFLINE", "events__0")
         .is_err());
 }
+
+/// Two partitions that commit in the same instant must both keep
+/// consuming: each commit is one read-modify-write of the table's ideal
+/// state, and neither may overwrite the other's. Both commits start
+/// behind a barrier, every iteration; after each, both committed
+/// segments are ONLINE and both next segments CONSUMING. The iterations
+/// spread over ten tables, so no ideal state grows past 200 segments.
+#[test]
+fn concurrent_commits_keep_every_partition_consuming() {
+    use pinot_common::ids::SegmentName;
+    use pinot_common::protocol::{CompletionInstruction, CompletionPoll};
+    use std::sync::Barrier;
+
+    const TABLES: usize = 10;
+    const ITERATIONS_PER_TABLE: u64 = 100;
+    let fx = fixture(1);
+    let server = fx.servers[0].instance_id();
+    let barrier = Barrier::new(2);
+    for t in 0..TABLES {
+        let topic = format!("feed{t}-events");
+        fx.streams.create_topic(&topic, 2).unwrap();
+        let cfg = TableConfig::realtime(
+            format!("feed{t}"),
+            StreamConfig {
+                topic,
+                flush_threshold_rows: 10,
+                flush_threshold_millis: 3_600_000,
+            },
+        );
+        fx.controller.create_table(cfg, schema()).unwrap();
+        let table = format!("feed{t}_REALTIME");
+        let table = table.as_str();
+        let blobs = [0, 1].map(|p| segment_blob(&format!("feed{t}_p{p}"), table, &[1, 2]));
+        for seq in 0..ITERATIONS_PER_TABLE {
+            let offset = (seq + 1) * 10;
+            let segments = [0, 1].map(|p| SegmentName::realtime(table, p, seq));
+            for segment in &segments {
+                let poll = CompletionPoll {
+                    segment: segment.clone(),
+                    instance: server.clone(),
+                    offset,
+                    commit_upload_done: false,
+                };
+                assert_eq!(
+                    fx.controller.segment_completion_poll(&poll),
+                    CompletionInstruction::Commit
+                );
+            }
+            std::thread::scope(|s| {
+                for (segment, blob) in segments.iter().zip(&blobs) {
+                    let (controller, barrier, server) = (&fx.controller, &barrier, &server);
+                    s.spawn(move || {
+                        barrier.wait();
+                        let committed = controller
+                            .commit_segment(table, segment, server, offset, blob.clone())
+                            .unwrap();
+                        assert!(committed, "{segment} was not committed");
+                    });
+                }
+            });
+            let ideal = fx.controller.cluster().ideal_state(table).unwrap();
+            for p in [0, 1] {
+                let state = |seq| {
+                    ideal
+                        .segments
+                        .get(SegmentName::realtime(table, p, seq).as_str())
+                        .and_then(|replicas| replicas.get(&server).copied())
+                };
+                assert_eq!(
+                    state(seq),
+                    Some(SegmentState::Online),
+                    "{table} iteration {seq}: partition {p}'s committed segment"
+                );
+                assert_eq!(
+                    state(seq + 1),
+                    Some(SegmentState::Consuming),
+                    "{table} iteration {seq}: partition {p}'s next segment"
+                );
+            }
+        }
+    }
+}

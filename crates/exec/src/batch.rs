@@ -5,11 +5,14 @@
 //! finalization, paying one dictionary lookup per *distinct id* instead
 //! of one per doc:
 //!
-//! * aggregations accumulate over decoded id blocks through a
-//!   dict-id → f64 lookup table built once per (segment, column);
-//! * group-bys hash a composite key of per-column dict ids and
-//!   materialize group values from the dictionaries only when the map
-//!   is converted to [`GroupKey`]s for merging;
+//! * aggregations widen each decoded id block off the typed dictionary
+//!   into a block-sized `f64` scratch, one `match` per block, so their
+//!   set-up does not grow with the dictionary;
+//! * group-bys map a composite key of per-column dict ids to a dense
+//!   slot (a flat table when the key space is no larger than the
+//!   selection, a hash map otherwise) and materialize group values from
+//!   the dictionaries only when the slots are converted to
+//!   [`GroupKey`]s for merging;
 //! * projections decode id blocks and translate ids per row.
 //!
 //! What varies is chosen from the segment, never from an option: a
@@ -17,10 +20,13 @@
 //! `get_multi` inside the block loop (group keys expand in id space,
 //! one per element); the composite key is one bit-packed `u64` while
 //! the summed id widths fit 64 bits and a boxed id slice beyond that.
-//! String columns contribute nothing to numeric aggregates (the lut is
-//! `None`), accumulation runs in ascending doc order so float sums do
-//! not depend on block boundaries, and each (doc, column) read counts
-//! one scanned entry.
+//! String columns contribute nothing to numeric aggregates (they are
+//! never widened), accumulation runs in ascending doc order so float
+//! sums do not depend on block boundaries, and each (doc, column) read
+//! counts one scanned entry.
+//!
+//! [`BLOCK_SIZE`]: crate::selection::BLOCK_SIZE
+//! [`ForwardIndex::read_block`]: pinot_segment::forward::ForwardIndex::read_block
 
 use crate::aggstate::AggState;
 use crate::key::{GroupKey, GroupValue};
@@ -32,6 +38,7 @@ use pinot_pql::{AggFunction, AggregateExpr};
 use pinot_segment::bitpack::bits_needed;
 use pinot_segment::column::ColumnData;
 use pinot_segment::{DictId, Dictionary};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -120,29 +127,38 @@ pub(crate) fn decode_block(col: &ColumnData, block: &DocBlock<'_>, scratch: &mut
     }
 }
 
-/// Dict-id → f64 table for one column (`Dictionary::numeric_of` for
-/// every id), `None` for string dictionaries, which contribute nothing to
-/// a numeric aggregate. Built per query from the typed value array, one
-/// match for the whole table: a selective query over a high-cardinality
-/// metric spends most of its scan time here, and a per-id `numeric_of`
-/// made that cost swing by ±20% with unrelated edits to this file.
-fn numeric_lut(col: &ColumnData) -> Option<Vec<f64>> {
-    match &*col.dictionary {
-        Dictionary::Int(v) => Some(v.iter().map(|&x| x as f64).collect()),
-        Dictionary::Long(v) => Some(v.iter().map(|&x| x as f64).collect()),
-        Dictionary::Float(v) => Some(v.iter().map(|&x| x as f64).collect()),
-        Dictionary::Double(v) => Some(v.clone()),
-        Dictionary::Boolean(v) => Some(v.iter().map(|&x| x as u8 as f64).collect()),
-        Dictionary::String(_) => None,
-    }
-}
-
-/// One distinct aggregation column: shared decode scratch + lut, so two
-/// aggregations over the same column decode it once per block.
+/// One distinct aggregation column: shared decode scratch, so two
+/// aggregations over the same column decode it once per block, and the
+/// block's values widened to `f64` when a numeric aggregation reads them.
 struct UniqCol<'a> {
     col: &'a ColumnData,
-    lut: Option<Vec<f64>>,
     ids: Vec<DictId>,
+    /// Set when a SUM/MIN/MAX/AVG/COUNT reads this (numeric) column.
+    widen: bool,
+    vals: Vec<f64>,
+}
+
+impl UniqCol<'_> {
+    /// Decode this block's ids and, if a numeric aggregation reads the
+    /// column, widen them off the typed dictionary slice: one `match` per
+    /// block, block-sized scratch whatever the dictionary's size.
+    #[inline]
+    fn load(&mut self, block: &DocBlock<'_>) {
+        decode_block(self.col, block, &mut self.ids);
+        if !self.widen {
+            return;
+        }
+        let (ids, out) = (&self.ids, &mut self.vals);
+        out.clear();
+        match &*self.col.dictionary {
+            Dictionary::Int(v) => out.extend(ids.iter().map(|&id| v[id as usize] as f64)),
+            Dictionary::Long(v) => out.extend(ids.iter().map(|&id| v[id as usize] as f64)),
+            Dictionary::Float(v) => out.extend(ids.iter().map(|&id| v[id as usize] as f64)),
+            Dictionary::Double(v) => out.extend(ids.iter().map(|&id| v[id as usize])),
+            Dictionary::Boolean(v) => out.extend(ids.iter().map(|&id| v[id as usize] as u8 as f64)),
+            Dictionary::String(_) => unreachable!("string columns are never widened"),
+        }
+    }
 }
 
 /// Per-aggregation dispatch: which unique column feeds it, if any, and
@@ -151,8 +167,11 @@ struct UniqCol<'a> {
 enum AggSource {
     /// COUNT(*)-style: no column, every doc feeds it 0.0.
     NoColumn,
-    /// Numeric input through the lut of this unique-column slot.
-    Column(usize),
+    /// Numeric input: the widened values of this unique-column slot.
+    Numeric(usize),
+    /// A string column under a numeric aggregation: read and counted,
+    /// but it contributes no number.
+    NonNumeric,
     /// DISTINCTCOUNT over this unique-column slot.
     Distinct(usize),
 }
@@ -164,26 +183,33 @@ fn unique_columns<'a>(
     let mut uniq: Vec<UniqCol<'a>> = Vec::new();
     let mut sources = Vec::with_capacity(cols.len());
     for (agg, col) in aggs.iter().zip(cols) {
-        match col {
-            None => sources.push(AggSource::NoColumn),
-            Some(col) => {
-                let slot = uniq
-                    .iter()
-                    .position(|u| u.col.spec.name == col.spec.name)
-                    .unwrap_or_else(|| {
-                        uniq.push(UniqCol {
-                            col,
-                            lut: numeric_lut(col),
-                            ids: Vec::new(),
-                        });
-                        uniq.len() - 1
-                    });
-                sources.push(if agg.function == AggFunction::DistinctCount {
-                    AggSource::Distinct(slot)
-                } else {
-                    AggSource::Column(slot)
+        let Some(col) = col else {
+            sources.push(AggSource::NoColumn);
+            continue;
+        };
+        let distinct = agg.function == AggFunction::DistinctCount;
+        let numeric = !matches!(&*col.dictionary, Dictionary::String(_));
+        if !distinct && !numeric {
+            sources.push(AggSource::NonNumeric);
+            continue;
+        }
+        let slot = uniq
+            .iter()
+            .position(|u| u.col.spec.name == col.spec.name)
+            .unwrap_or_else(|| {
+                uniq.push(UniqCol {
+                    col,
+                    ids: Vec::new(),
+                    widen: false,
+                    vals: Vec::new(),
                 });
-            }
+                uniq.len() - 1
+            });
+        if distinct {
+            sources.push(AggSource::Distinct(slot));
+        } else {
+            uniq[slot].widen = true;
+            sources.push(AggSource::Numeric(slot));
         }
     }
     (uniq, sources)
@@ -207,43 +233,74 @@ fn accept_zero_repeated(state: &mut AggState, n: u64) {
     }
 }
 
-/// Accumulate one decoded id block into a state through the column lut.
-/// Additions run in ascending doc order, so float results do not depend
-/// on where block boundaries fall.
+/// Accumulate one block of widened values into a state. Additions run
+/// in ascending doc order, so float results do not depend on where block
+/// boundaries fall.
 #[inline]
-fn accumulate_block(state: &mut AggState, lut: &[f64], ids: &[DictId]) {
+fn accumulate_block(state: &mut AggState, vals: &[f64]) {
     match state {
-        AggState::Count(n) => *n += ids.len() as u64,
+        AggState::Count(n) => *n += vals.len() as u64,
         AggState::Sum(s) => {
-            for &id in ids {
-                *s += lut[id as usize];
+            for &x in vals {
+                *s += x;
             }
         }
         AggState::Min(m) => {
-            for &id in ids {
-                *m = m.min(lut[id as usize]);
+            for &x in vals {
+                *m = m.min(x);
             }
         }
         AggState::Max(m) => {
-            for &id in ids {
-                *m = m.max(lut[id as usize]);
+            for &x in vals {
+                *m = m.max(x);
             }
         }
         AggState::Avg { sum, count } => {
-            for &id in ids {
-                *sum += lut[id as usize];
+            for &x in vals {
+                *sum += x;
             }
-            *count += ids.len() as u64;
+            *count += vals.len() as u64;
         }
         AggState::Distinct(_) => unreachable!("distinct accumulates in id space"),
     }
 }
 
-/// Ungrouped aggregation: SUM/MIN/MAX/COUNT/AVG accumulate over decoded
-/// id blocks through the column lut; DISTINCTCOUNT marks a per-id seen
-/// table and materializes values once at the end. Columns are
-/// single-value — aggregating over a multi-value column is rejected
-/// before planning.
+/// A DISTINCTCOUNT's ids seen so far, one bit per dictionary id.
+struct SeenIds(Vec<u64>);
+
+impl SeenIds {
+    fn new(cardinality: usize) -> SeenIds {
+        SeenIds(vec![0; cardinality.div_ceil(64)])
+    }
+
+    #[inline]
+    fn mark(&mut self, ids: &[DictId]) {
+        for &id in ids {
+            self.0[id as usize >> 6] |= 1 << (id & 63);
+        }
+    }
+
+    /// Late materialization: one dictionary lookup per distinct id seen,
+    /// into a set sized once.
+    fn materialize(&self, dict: &Dictionary, state: &mut AggState) {
+        if let AggState::Distinct(set) = state {
+            set.reserve(self.0.iter().map(|w| w.count_ones() as usize).sum());
+        }
+        for (w, &word) in self.0.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let id = (w << 6) as DictId + bits.trailing_zeros();
+                state.accept_value(&dict.value_of(id));
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
+/// Ungrouped aggregation: SUM/MIN/MAX/COUNT/AVG accumulate over each
+/// block's widened values; DISTINCTCOUNT marks a per-id seen bitset and
+/// materializes values once at the end. Columns are single-value —
+/// aggregating over a multi-value column is rejected before planning.
 pub(crate) fn aggregate_selection(
     aggs: &[AggregateExpr],
     cols: &[Option<&ColumnData>],
@@ -253,13 +310,13 @@ pub(crate) fn aggregate_selection(
 ) -> Vec<AggState> {
     let mut states: Vec<AggState> = aggs.iter().map(|a| AggState::new(a.function)).collect();
     let (mut uniq, sources) = unique_columns(aggs, cols);
-    // Per-aggregation seen table for DISTINCTCOUNT (id space).
-    let mut seen: Vec<Vec<bool>> = aggs
+    let mut seen: Vec<Option<SeenIds>> = sources
         .iter()
-        .zip(cols)
-        .map(|(a, c)| match (a.function, c) {
-            (AggFunction::DistinctCount, Some(c)) => vec![false; c.dictionary.cardinality()],
-            _ => Vec::new(),
+        .map(|s| match s {
+            AggSource::Distinct(slot) => {
+                Some(SeenIds::new(uniq[*slot].col.dictionary.cardinality()))
+            }
+            _ => None,
         })
         .collect();
     let mut entries = 0u64;
@@ -267,38 +324,28 @@ pub(crate) fn aggregate_selection(
         kstats.observe(&block);
         let len = block.len() as u64;
         for u in &mut uniq {
-            decode_block(u.col, &block, &mut u.ids);
+            u.load(&block);
         }
-        for (i, state) in states.iter_mut().enumerate() {
-            match sources[i] {
+        for ((state, source), seen) in states.iter_mut().zip(&sources).zip(&mut seen) {
+            match source {
                 AggSource::NoColumn => accept_zero_repeated(state, len),
-                AggSource::Column(slot) => {
-                    let u = &uniq[slot];
+                AggSource::Numeric(slot) => {
                     entries += len;
-                    if let Some(lut) = &u.lut {
-                        accumulate_block(state, lut, &u.ids);
-                    }
+                    accumulate_block(state, &uniq[*slot].vals);
                 }
+                AggSource::NonNumeric => entries += len,
                 AggSource::Distinct(slot) => {
                     entries += len;
-                    let seen = &mut seen[i];
-                    for &id in &uniq[slot].ids {
-                        seen[id as usize] = true;
+                    if let Some(seen) = seen {
+                        seen.mark(&uniq[*slot].ids);
                     }
                 }
             }
         }
     });
-    // Late materialization for DISTINCTCOUNT: one dictionary lookup per
-    // distinct id actually observed.
-    for (i, state) in states.iter_mut().enumerate() {
-        if let AggSource::Distinct(slot) = sources[i] {
-            let dict = &uniq[slot].col.dictionary;
-            for (id, hit) in seen[i].iter().enumerate() {
-                if *hit {
-                    state.accept_value(&dict.value_of(id as DictId));
-                }
-            }
+    for ((state, source), seen) in states.iter_mut().zip(&sources).zip(&seen) {
+        if let (AggSource::Distinct(slot), Some(seen)) = (source, seen) {
+            seen.materialize(&uniq[*slot].col.dictionary, state);
         }
     }
     stats.num_entries_scanned_post_filter += entries;
@@ -345,6 +392,8 @@ pub(crate) trait PackedKey: Clone + Eq + std::hash::Hash {
     /// Fill column `ci`'s slot, which must still be empty.
     fn set(&mut self, layout: &KeyLayout, ci: usize, id: DictId);
     fn get(&self, layout: &KeyLayout, ci: usize) -> DictId;
+    /// The key as an index into a slot table, when it is one word.
+    fn as_index(&self) -> Option<usize>;
     /// [`PackedKey::set`] for one decoded block of a single-value column.
     fn set_block(keys: &mut [Self], layout: &KeyLayout, ci: usize, ids: &[DictId]) {
         for (key, &id) in keys.iter_mut().zip(ids) {
@@ -367,6 +416,10 @@ impl PackedKey for u64 {
     fn get(&self, layout: &KeyLayout, ci: usize) -> DictId {
         ((*self >> layout.shifts[ci]) & layout.masks[ci]) as DictId
     }
+    #[inline]
+    fn as_index(&self) -> Option<usize> {
+        Some(*self as usize)
+    }
     /// The column's shift is read once, outside the loop: left to
     /// `set`, the indexed load stays inside it and the loop does not
     /// vectorize (an unfiltered two-column group-by ran 8% slower).
@@ -388,6 +441,9 @@ impl PackedKey for Box<[DictId]> {
     }
     fn get(&self, _: &KeyLayout, ci: usize) -> DictId {
         self[ci]
+    }
+    fn as_index(&self) -> Option<usize> {
+        None
     }
 }
 
@@ -453,11 +509,61 @@ impl<K: PackedKey> MultiValueKeys<K> {
     }
 }
 
-/// Group-by: hash a composite key of dict ids per doc, accumulate
-/// through column luts (DISTINCTCOUNT through the dictionary), and
-/// translate keys to `GroupKey`s only once per group at the end.
-/// Single-value group columns decode a block at a time; multi-value
-/// ones are expanded per block by [`MultiValueKeys`].
+/// Packed key → dense group slot, numbered in first-seen order.
+enum Slots<K> {
+    /// Indexed by the packed key itself; `u32::MAX` marks an unseen key.
+    Table(Vec<u32>),
+    Hash(HashMap<K, u32>),
+}
+
+impl<K: PackedKey> Slots<K> {
+    /// A flat table when the key space is no larger than the selection
+    /// (or one block), so the table costs no more than the scan; a hash
+    /// map otherwise.
+    fn new(layout: &KeyLayout, selected: u64) -> Slots<K> {
+        let limit = (selected as usize).max(crate::selection::BLOCK_SIZE);
+        let one_word = K::empty(layout).as_index().is_some();
+        if one_word && layout.total_bits < usize::BITS && 1usize << layout.total_bits <= limit {
+            Slots::Table(vec![u32::MAX; 1 << layout.total_bits])
+        } else {
+            Slots::Hash(HashMap::new())
+        }
+    }
+
+    /// The key's slot; a first-seen key gets the next one and is
+    /// appended to `keys`, which maps slots back to keys.
+    #[inline]
+    fn slot(&mut self, key: K, keys: &mut Vec<K>) -> usize {
+        let next = keys.len() as u32;
+        let slot = match self {
+            Slots::Table(table) => {
+                let cell = &mut table[key.as_index().expect("table keys are one word")];
+                if *cell == u32::MAX {
+                    *cell = next;
+                }
+                *cell
+            }
+            Slots::Hash(map) => match map.get(&key) {
+                Some(&slot) => slot,
+                None => {
+                    map.insert(key.clone(), next);
+                    next
+                }
+            },
+        };
+        if slot == next {
+            keys.push(key);
+        }
+        slot as usize
+    }
+}
+
+/// Group-by: map a composite key of dict ids per doc to a dense slot,
+/// accumulate each slot's states from the block's widened values
+/// (DISTINCTCOUNT through the dictionary), and translate keys to
+/// `GroupKey`s only once per group at the end. Single-value group
+/// columns decode a block at a time; multi-value ones are expanded per
+/// block by [`MultiValueKeys`].
 pub(crate) fn group_by_selection<K: PackedKey>(
     aggs: &[AggregateExpr],
     group_cols: &[&ColumnData],
@@ -468,7 +574,11 @@ pub(crate) fn group_by_selection<K: PackedKey>(
     kstats: &mut KernelStats,
 ) -> HashMap<GroupKey, Vec<AggState>> {
     let (mut uniq, sources) = unique_columns(aggs, agg_cols);
-    let mut packed: HashMap<K, Vec<AggState>> = HashMap::new();
+    let n = aggs.len();
+    let mut slots = Slots::<K>::new(layout, selection.count());
+    // Slot `s` is `slot_keys[s]`, and its states are `states[s * n..][..n]`.
+    let mut slot_keys: Vec<K> = Vec::new();
+    let mut states: Vec<AggState> = Vec::new();
     let mut group_ids: Vec<Vec<DictId>> = vec![Vec::new(); group_cols.len()];
     let mut keys: Vec<K> = Vec::new();
     let mut multi = MultiValueKeys::<K>::new(group_cols);
@@ -489,27 +599,24 @@ pub(crate) fn group_by_selection<K: PackedKey>(
             }
         }
         for u in &mut uniq {
-            decode_block(u.col, &block, &mut u.ids);
+            u.load(&block);
         }
         if has_multi {
             multi.expand(&mut keys, group_cols, layout, &block);
         }
         for (i, key) in keys.drain(..).enumerate() {
             let row = if has_multi { multi.rows[i] as usize } else { i };
-            let states = packed
-                .entry(key)
-                .or_insert_with(|| aggs.iter().map(|a| AggState::new(a.function)).collect());
-            for (state, source) in states.iter_mut().zip(&sources) {
+            let slot = slots.slot(key, &mut slot_keys);
+            if states.len() == slot * n {
+                states.extend(aggs.iter().map(|a| AggState::new(a.function)));
+            }
+            for (state, source) in states[slot * n..][..n].iter_mut().zip(&sources) {
                 match source {
                     AggSource::NoColumn => accept_zero_repeated(state, 1),
-                    AggSource::Column(slot) => {
-                        let u = &uniq[*slot];
-                        if let Some(lut) = &u.lut {
-                            state.accept_numeric(lut[u.ids[row] as usize]);
-                        }
-                    }
-                    AggSource::Distinct(slot) => {
-                        let u = &uniq[*slot];
+                    AggSource::Numeric(u) => state.accept_numeric(uniq[*u].vals[row]),
+                    AggSource::NonNumeric => {}
+                    AggSource::Distinct(u) => {
+                        let u = &uniq[*u];
                         state.accept_value(&u.col.dictionary.value_of(u.ids[row]));
                     }
                 }
@@ -521,16 +628,29 @@ pub(crate) fn group_by_selection<K: PackedKey>(
     let per_doc = (group_cols.len() + agg_cols.iter().filter(|c| c.is_some()).count()) as u64;
     stats.num_entries_scanned_post_filter += docs * per_doc;
 
-    // Late materialization: unpack ids from each composite key and look
-    // the group values up once per *group*, not once per doc.
-    let mut out: HashMap<GroupKey, Vec<AggState>> = HashMap::with_capacity(packed.len());
-    for (key, states) in packed {
+    // Late materialization: unpack ids from each slot's key and look the
+    // group values up once per *group*, not once per doc. Two ids can
+    // share one canonical value (`0.0` and `-0.0` in a DOUBLE
+    // dictionary); their slots merge, in slot order.
+    let mut out: HashMap<GroupKey, Vec<AggState>> = HashMap::with_capacity(slot_keys.len());
+    let mut states = states.into_iter();
+    for key in slot_keys {
         let group_key: GroupKey = group_cols
             .iter()
             .enumerate()
             .map(|(ci, col)| GroupValue::from_value(&col.dictionary.value_of(key.get(layout, ci))))
             .collect();
-        out.insert(group_key, states);
+        let group: Vec<AggState> = states.by_ref().take(n).collect();
+        match out.entry(group_key) {
+            Entry::Occupied(mut e) => {
+                for (x, y) in e.get_mut().iter_mut().zip(group) {
+                    x.merge(y).expect("states of one aggregation merge");
+                }
+            }
+            Entry::Vacant(e) => {
+                e.insert(group);
+            }
+        }
     }
     out
 }

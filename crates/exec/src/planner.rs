@@ -337,25 +337,29 @@ pub(crate) fn evaluate_filter_ctx(
 ) -> Result<DocSelection> {
     match pred {
         None => Ok(DocSelection::All(segment.num_docs())),
-        Some(p) => eval(segment, &normalize_predicate(p), stats, ctx),
+        Some(p) => eval(segment, &normalize_predicate(p), stats, None, ctx),
     }
 }
 
+/// Evaluate `pred` to the docs of `within` (every doc when `None`) that
+/// match it. Subtrees see only the docs that earlier conjuncts kept, so
+/// an OR or NOT under an AND scans the surviving docs, not the segment.
 fn eval(
     segment: &ImmutableSegment,
     pred: &Predicate,
     stats: &mut ExecutionStats,
+    within: Option<&DocSelection>,
     ctx: &FilterCtx<'_>,
 ) -> Result<DocSelection> {
-    let num_docs = segment.num_docs();
     match pred {
-        Predicate::And(ps) => eval_and(segment, ps, stats, ctx),
+        Predicate::And(ps) => eval_and(segment, ps, stats, within, ctx),
         Predicate::Or(ps) => {
             // IndexOr: when every branch is an inverted-path leaf, union
             // all their postings container-at-a-time in one k-way pass
-            // instead of folding pairwise bitmap ORs. Each branch still
-            // counts its own postings into the stats, so the fold and
-            // bulk paths are indistinguishable except in time.
+            // instead of folding pairwise bitmap ORs, and clip the union
+            // to `within` once. Each branch still counts its own postings
+            // into the stats, so the fold and bulk paths are
+            // indistinguishable except in time.
             let bulk = ps.len() >= 2
                 && ps
                     .iter()
@@ -372,20 +376,31 @@ fn eval(
                 }
                 let refs: Vec<&RoaringBitmap> = bms.iter().collect();
                 let bm = RoaringBitmap::union_many(&refs);
-                return Ok(if bm.is_empty() {
+                let union = if bm.is_empty() {
                     DocSelection::Empty
                 } else {
                     DocSelection::Bitmap(bm)
+                };
+                return Ok(match within {
+                    Some(w) => w.and(&union),
+                    None => union,
                 });
             }
+            // Every branch runs within the same running selection.
             let mut acc = DocSelection::Empty;
             for p in ps {
-                acc = acc.or(&eval(segment, p, stats, ctx)?);
+                acc = acc.or(&eval(segment, p, stats, within, ctx)?);
             }
             Ok(acc)
         }
-        Predicate::Not(inner) => Ok(eval(segment, inner, stats, ctx)?.not(num_docs)),
-        leaf => eval_leaf(segment, leaf, stats, None, ctx),
+        Predicate::Not(inner) => {
+            let matched = eval(segment, inner, stats, within, ctx)?;
+            Ok(match within {
+                Some(w) => w.and_not(&matched),
+                None => DocSelection::All(segment.num_docs()).and_not(&matched),
+            })
+        }
+        leaf => eval_leaf(segment, leaf, stats, within, ctx),
     }
 }
 
@@ -420,7 +435,7 @@ pub struct ConjunctPlan {
     pub est_selectivity: f64,
 }
 
-/// The filter's top-level conjuncts in the order [`eval_and`] will run
+/// The filter's top-level conjuncts in the order the planner will run
 /// them on this segment, each with the access path that decided its
 /// position and its estimated selectivity. Mirrors the planner exactly:
 /// the filter is normalized first and the sort is stable, so ties keep
@@ -501,10 +516,13 @@ fn describe_predicate(p: &Predicate) -> String {
     }
 }
 
+/// Conjuncts cheapest class first, each narrowing the running selection,
+/// which starts at `within` (every doc when `None`).
 fn eval_and(
     segment: &ImmutableSegment,
     conjuncts: &[Predicate],
     stats: &mut ExecutionStats,
+    within: Option<&DocSelection>,
     ctx: &FilterCtx<'_>,
 ) -> Result<DocSelection> {
     let mut keyed: Vec<(u8, &Predicate)> = conjuncts
@@ -513,7 +531,9 @@ fn eval_and(
         .collect();
     keyed.sort_by_key(|(class, _)| *class);
 
-    let mut sel = DocSelection::All(segment.num_docs());
+    let mut sel = within
+        .cloned()
+        .unwrap_or(DocSelection::All(segment.num_docs()));
     let mut i = 0;
     while i < keyed.len() {
         if sel.is_empty() {
@@ -572,8 +592,9 @@ fn eval_and(
                 i += 1;
             }
             CLASS_SUBTREE => {
-                let s = eval(segment, p, stats, ctx)?;
-                sel = sel.and(&s);
+                // An OR, NOT or nested AND sees only the surviving docs,
+                // and its result is the new running selection.
+                sel = eval(segment, p, stats, Some(&sel), ctx)?;
                 i += 1;
             }
             _ => {
@@ -984,6 +1005,51 @@ mod tests {
         // Cross-dimension OR cannot navigate the tree.
         let q = parse("SELECT SUM(m) FROM t WHERE k = 1 OR c = 'c1'").unwrap();
         assert!(try_star_tree(&handle, &q).is_none());
+    }
+
+    /// An OR or NOT under an AND is evaluated inside the docs the
+    /// earlier conjuncts kept: `c = 'c1'` selects 25 of 100 docs through
+    /// its inverted index (25 postings), and each unindexed scan leaf
+    /// below it then reads those 25 docs instead of all 100.
+    #[test]
+    fn subtrees_scan_only_the_surviving_docs() {
+        let seg = segment(false, true);
+        let matching = |keep: fn(u32) -> bool| (0..100).filter(|&d| keep(d)).collect::<Vec<u32>>();
+        let cases = [
+            (
+                "c = 'c1' AND (k = 3 OR m = 5)",
+                75,
+                matching(|d| d % 4 == 1 && (d % 10 == 3 || d == 5)),
+            ),
+            (
+                "c = 'c1' AND k != 3",
+                50,
+                matching(|d| d % 4 == 1 && d % 10 != 3),
+            ),
+            (
+                "c = 'c1' AND k NOT IN (3, 5)",
+                50,
+                matching(|d| d % 4 == 1 && d % 10 != 3 && d % 10 != 5),
+            ),
+            (
+                "c = 'c1' AND NOT (k = 3 OR m > 50)",
+                75,
+                matching(|d| d % 4 == 1 && d % 10 != 3 && d <= 50),
+            ),
+        ];
+        for (filter, entries, want) in cases {
+            let mut stats = ExecutionStats::default();
+            let pred = filter_of(&format!("SELECT COUNT(*) FROM t WHERE {filter}"));
+            let sel = evaluate_filter(&seg, Some(&pred), &mut stats).unwrap();
+            assert_eq!(stats.num_entries_scanned_in_filter, entries, "{filter}");
+            assert_eq!(docs(&sel), want, "{filter}");
+        }
+        // At the top level the same subtrees still see the whole segment.
+        let mut stats = ExecutionStats::default();
+        let pred = filter_of("SELECT COUNT(*) FROM t WHERE k = 3 OR m = 5");
+        let sel = evaluate_filter(&seg, Some(&pred), &mut stats).unwrap();
+        assert_eq!(stats.num_entries_scanned_in_filter, 200);
+        assert_eq!(docs(&sel), vec![3, 5, 13, 23, 33, 43, 53, 63, 73, 83, 93]);
     }
 
     #[test]

@@ -376,8 +376,35 @@ impl<'a> ScanPlan<'a> {
     }
 
     /// Run the scan over one (sub-)selection. Whole-selection execution
-    /// and per-morsel execution both come through here.
+    /// and per-morsel execution both come through here. An empty
+    /// selection returns before any per-column set-up.
     fn run(
+        &self,
+        selection: &DocSelection,
+        stats: &mut ExecutionStats,
+        kstats: &mut KernelStats,
+    ) -> ResultPayload {
+        if selection.is_empty() {
+            return self.empty_payload();
+        }
+        self.scan(selection, stats, kstats)
+    }
+
+    /// What the kernels build from zero docs.
+    fn empty_payload(&self) -> ResultPayload {
+        match self {
+            ScanPlan::Aggregate { aggs, .. } => {
+                ResultPayload::Aggregation(aggs.iter().map(|a| AggState::new(a.function)).collect())
+            }
+            ScanPlan::GroupBy { .. } => ResultPayload::GroupBy(HashMap::new()),
+            ScanPlan::Select { columns, .. } => ResultPayload::Selection {
+                columns: columns.clone(),
+                rows: Vec::new(),
+            },
+        }
+    }
+
+    fn scan(
         &self,
         selection: &DocSelection,
         stats: &mut ExecutionStats,
@@ -660,6 +687,40 @@ mod tests {
                 ],
             }
         );
+    }
+
+    /// An empty selection skips every kernel's set-up and returns what
+    /// the kernels themselves build from zero docs, with no entries or
+    /// blocks counted.
+    #[test]
+    fn empty_selection_payload_equals_the_kernels_over_zero_docs() {
+        let handle = mv_handle();
+        for pql in [
+            "SELECT SUM(m), COUNT(*), MIN(m), MAX(m), AVG(m), DISTINCTCOUNT(country) FROM t",
+            "SELECT SUM(m), DISTINCTCOUNT(m) FROM t GROUP BY country, tags",
+            "SELECT tags, m FROM t LIMIT 3",
+            "SELECT * FROM t",
+        ] {
+            let query = parse(pql).unwrap();
+            let plan = ScanPlan::resolve(&handle.segment, &query).unwrap();
+            let (mut stats, mut kstats) = (ExecutionStats::default(), KernelStats::default());
+            let scanned = plan.scan(&DocSelection::Empty, &mut stats, &mut kstats);
+            assert_eq!(plan.empty_payload(), scanned, "{pql}");
+            assert_eq!(stats, ExecutionStats::default(), "{pql}");
+            assert_eq!((kstats.blocks, kstats.docs), (0, 0), "{pql}");
+            let (mut stats, mut kstats) = (ExecutionStats::default(), KernelStats::default());
+            assert_eq!(
+                plan.run(&DocSelection::Empty, &mut stats, &mut kstats),
+                scanned
+            );
+        }
+        // End to end: a filter that matches nothing.
+        let r = run(
+            &handle,
+            "SELECT SUM(m) FROM t WHERE country = 'fr' GROUP BY tags",
+        );
+        assert_eq!(r.payload, ResultPayload::GroupBy(HashMap::new()));
+        assert_eq!(r.stats.num_entries_scanned_post_filter, 0);
     }
 
     /// Aggregating *over* a multi-value column used to reach

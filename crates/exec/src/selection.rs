@@ -270,36 +270,35 @@ impl DocSelection {
         }
     }
 
-    /// Complement within `[0, num_docs)`.
-    pub fn not(&self, num_docs: DocId) -> DocSelection {
+    /// The docs of `self` that are not in `other`: a NOT scoped to the
+    /// running selection. A range (or `All`) minus a range stays a range
+    /// unless the difference splits in two; `All(n).and_not(x)` is the
+    /// complement of `x` within `[0, n)`.
+    pub fn and_not(&self, other: &DocSelection) -> DocSelection {
         use DocSelection::*;
-        match self {
-            Empty => All(num_docs),
-            All(_) => Empty,
-            Range(s, e) => {
-                if *s == 0 {
-                    if *e >= num_docs {
-                        Empty
-                    } else {
-                        Range(*e, num_docs)
-                    }
-                } else if *e >= num_docs {
-                    Range(0, *s)
-                } else {
-                    Bitmap(
-                        RoaringBitmap::from_range(0, *s)
-                            .or(&RoaringBitmap::from_range(*e, num_docs)),
-                    )
+        let nonempty = |bm: RoaringBitmap| if bm.is_empty() { Empty } else { Bitmap(bm) };
+        match (self, other) {
+            (Empty, _) | (_, All(_)) => Empty,
+            (x, Empty) => x.clone(),
+            (All(_) | Range(..), Range(c, d)) => {
+                let (a, b) = match self {
+                    All(n) => (0, *n),
+                    Range(a, b) => (*a, *b),
+                    _ => unreachable!("matched above"),
+                };
+                let (left, right) = ((a, b.min(*c)), (a.max(*d), b));
+                match (left.0 < left.1, right.0 < right.1) {
+                    (false, false) => Empty,
+                    (true, false) => Range(left.0, left.1),
+                    (false, true) => Range(right.0, right.1),
+                    (true, true) => Bitmap(
+                        RoaringBitmap::from_range(left.0, left.1)
+                            .or(&RoaringBitmap::from_range(right.0, right.1)),
+                    ),
                 }
             }
-            Bitmap(bm) => {
-                let c = bm.not(num_docs);
-                if c.is_empty() {
-                    Empty
-                } else {
-                    Bitmap(c)
-                }
-            }
+            (All(_) | Range(..), Bitmap(bm)) => nonempty(self.to_bitmap().and_not(bm)),
+            (Bitmap(x), y) => nonempty(x.and_not(&y.to_bitmap())),
         }
     }
 
@@ -455,13 +454,55 @@ mod tests {
     #[test]
     fn selection_not() {
         use DocSelection::*;
-        assert_eq!(Range(0, 4).not(10), Range(4, 10));
-        assert_eq!(Range(4, 10).not(10), Range(0, 4));
-        assert_eq!(All(10).not(10), Empty);
-        assert_eq!(Empty.not(10), All(10));
-        match Range(3, 5).not(10) {
+        // `All(n).and_not(x)` is the complement of `x` within `[0, n)`.
+        assert_eq!(All(10).and_not(&Range(0, 4)), Range(4, 10));
+        assert_eq!(All(10).and_not(&Range(4, 10)), Range(0, 4));
+        assert_eq!(All(10).and_not(&All(10)), Empty);
+        assert_eq!(All(10).and_not(&Empty), All(10));
+        match All(10).and_not(&Range(3, 5)) {
             Bitmap(bm) => assert_eq!(bm.to_vec(), vec![0, 1, 2, 5, 6, 7, 8, 9]),
             other => panic!("{other:?}"),
+        }
+        let odd = Bitmap(RoaringBitmap::from_iter((0..10u32).filter(|d| d % 2 == 1)));
+        assert_eq!(
+            All(10).and_not(&odd).to_bitmap().to_vec(),
+            vec![0, 2, 4, 6, 8]
+        );
+    }
+
+    /// A NOT scoped to the running selection: the difference never
+    /// leaves `self`, and ranges stay ranges when they can.
+    #[test]
+    fn and_not_stays_within_the_selection() {
+        use DocSelection::*;
+        assert_eq!(Range(2, 8).and_not(&Range(5, 12)), Range(2, 5));
+        assert_eq!(Range(2, 8).and_not(&Range(0, 4)), Range(4, 8));
+        assert_eq!(Range(2, 8).and_not(&Range(0, 9)), Empty);
+        assert_eq!(Range(2, 8).and_not(&Range(20, 30)), Range(2, 8));
+        assert_eq!(Range(2, 8).and_not(&All(10)), Empty);
+        assert_eq!(Empty.and_not(&Range(0, 4)), Empty);
+        match Range(2, 8).and_not(&Range(4, 6)) {
+            Bitmap(bm) => assert_eq!(bm.to_vec(), vec![2, 3, 6, 7]),
+            other => panic!("{other:?}"),
+        }
+        let bm = Bitmap(RoaringBitmap::from_iter([1u32, 3, 5, 7, 9]));
+        assert_eq!(bm.and_not(&Range(3, 8)).to_bitmap().to_vec(), vec![1, 9]);
+        assert_eq!(Range(2, 8).and_not(&bm).to_bitmap().to_vec(), vec![2, 4, 6]);
+        assert_eq!(bm.and_not(&bm), Empty);
+        // Every shape pair agrees with the set difference.
+        let shapes = [
+            All(12),
+            Range(0, 12),
+            Range(3, 9),
+            Bitmap(RoaringBitmap::from_iter([0u32, 4, 5, 11])),
+            Empty,
+        ];
+        for x in &shapes {
+            for y in &shapes {
+                let (xs, ys) = (x.to_bitmap().to_vec(), y.to_bitmap().to_vec());
+                let want: Vec<u32> = xs.into_iter().filter(|d| !ys.contains(d)).collect();
+                assert_eq!(x.and_not(y).to_bitmap().to_vec(), want, "{x:?} - {y:?}");
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! Minimal in-repo stand-in for the `proptest` crate.
 //!
 //! Implements the subset of the proptest 1.x API the workspace's property
-//! tests use: the [`Strategy`] trait with `prop_map` / `prop_flat_map` /
+//! tests use: the [`Strategy`](strategy::Strategy) trait with `prop_map` / `prop_flat_map` /
 //! `prop_recursive` / `boxed`, range and tuple strategies, regex-subset
 //! string strategies, `prop::collection::{vec, btree_map}`,
 //! `prop::option::of`, `prop::sample::select`, `any::<T>()`, the
