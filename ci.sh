@@ -7,6 +7,15 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
+echo "== PINOT_* names: crates/ and README.md list the same set =="
+knobs_in_code=$(grep -rhoE 'PINOT_[A-Z_]+' --include=*.rs crates | sort -u)
+knobs_in_readme=$(grep -oE 'PINOT_[A-Z_]+' README.md | sort -u)
+if [ "$knobs_in_code" != "$knobs_in_readme" ]; then
+    echo "PINOT_* names differ (< crates/, > README.md):"
+    diff <(echo "$knobs_in_code") <(echo "$knobs_in_readme") || true
+    exit 1
+fi
+
 echo "== cargo clippy (workspace, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

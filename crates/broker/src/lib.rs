@@ -39,8 +39,8 @@ use routing::{RoutingTable, SegmentReplicas};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use survival::AdmissionController;
 pub use survival::AdmissionLimits;
-use survival::{AdmissionController, Lookup, ResultCache};
 
 /// Samples of per-server scatter latency retained for hedge-delay
 /// estimation, and how many a server needs before its estimate counts.
@@ -158,7 +158,7 @@ pub struct Broker {
     /// instead of a forever-pending slot.
     pool: Arc<TaskPool>,
     /// The cluster's engine configuration, resolved once at boot; the
-    /// broker reads `prune`, `hedge`, `admission` and `result_cache`.
+    /// broker reads `taskpool_threads` (its scatter pool) and `hedge`.
     config: Arc<EngineConfig>,
     /// Segment zone maps parsed from metastore metadata, keyed by path and
     /// invalidated by metastore version (segment metadata is written once
@@ -177,12 +177,6 @@ pub struct Broker {
     /// clock) feeding the hedged-scatter delay.
     latency: LatencyDigest,
     admission: Arc<AdmissionController>,
-    cache: Arc<ResultCache>,
-    /// Per-physical-table generation counters bumped on every external
-    /// view change (segment commit/upload, server death) by the same
-    /// subscription that feeds `dirty`. Folded into cache keys, so a
-    /// commit implicitly invalidates every cached result for that table.
-    cache_gens: Arc<Mutex<HashMap<String, u64>>>,
 }
 
 /// One segment's published zone maps, pinned to the metastore version of
@@ -248,12 +242,9 @@ impl Broker {
         config: Arc<EngineConfig>,
     ) -> Arc<Broker> {
         let dirty: Arc<Mutex<HashSet<String>>> = Arc::new(Mutex::new(HashSet::new()));
-        let cache_gens: Arc<Mutex<HashMap<String, u64>>> = Arc::new(Mutex::new(HashMap::new()));
         let dirty_sub = Arc::clone(&dirty);
-        let gens_sub = Arc::clone(&cache_gens);
         cluster.subscribe_view(move |change| {
             dirty_sub.lock().insert(change.table.clone());
-            *gens_sub.lock().entry(change.table.clone()).or_insert(0) += 1;
         });
         Arc::new(Broker {
             id: InstanceId::broker(n),
@@ -276,8 +267,6 @@ impl Broker {
             query_seed: 0x9e3779b97f4a7c15 ^ (n as u64).rotate_left(32),
             latency: LatencyDigest::new(HEDGE_LATENCY_WINDOW, HEDGE_MIN_SAMPLES),
             admission: Arc::new(AdmissionController::default()),
-            cache: Arc::new(ResultCache::new()),
-            cache_gens,
         })
     }
 
@@ -466,114 +455,20 @@ impl Broker {
             v
         };
 
-        // Result cache: only pure-offline resolutions are cacheable — a
-        // consuming realtime segment grows without any view change, so a
-        // cached realtime answer would silently go stale between commits.
-        let cacheable =
-            self.config.result_cache && physical.iter().all(|t| !t.ends_with("_REALTIME"));
-        if !cacheable {
-            return self.execute_admitted(&physical, &query, &tenant, ctx, deadline, phases);
-        }
-        let key = self.cache_key(&physical, &query);
-        match self.cache.lookup(&key) {
-            Lookup::Hit(resp) => {
-                self.obs.metrics.counter_add("broker.cache_hit", 1);
-                Ok(self.cached_response(&resp, ctx))
-            }
-            Lookup::Coalesce(flight) => {
-                // Identical query already executing: ride its answer. This
-                // needs no admission slot — degrading gracefully means
-                // cached-servable queries keep flowing while scatter sheds.
-                self.obs.metrics.counter_add("broker.cache_coalesced", 1);
-                match flight.wait(deadline) {
-                    Some(resp) => Ok(self.cached_response(&resp, ctx)),
-                    // Leader failed or our deadline passed first: execute
-                    // for ourselves without re-registering as leader.
-                    None => {
-                        self.execute_admitted(&physical, &query, &tenant, ctx, deadline, phases)
-                    }
-                }
-            }
-            Lookup::Lead(guard) => {
-                self.obs.metrics.counter_add("broker.cache_miss", 1);
-                let outcome =
-                    self.execute_admitted(&physical, &query, &tenant, ctx, deadline, phases);
-                match &outcome {
-                    // Only complete, exception-free, unprofiled responses
-                    // are cached: a partial payload must never be replayed
-                    // as authoritative, and a stored profile would describe
-                    // some other query's execution.
-                    Ok(resp) if !resp.partial && resp.exceptions.is_empty() && !ctx.profile => {
-                        guard.complete(Some(Arc::new(resp.clone())));
-                    }
-                    _ => guard.complete(None),
-                }
-                outcome
-            }
-        }
-    }
-
-    /// Cache key: sorted `table@generation` tokens plus the normalized
-    /// query text. Any view change for a table bumps its generation, so
-    /// results cached before a segment commit can never be served after it.
-    fn cache_key(&self, physical: &[String], query: &Query) -> String {
-        let gens = self.cache_gens.lock();
-        let mut parts: Vec<String> = physical
-            .iter()
-            .map(|t| format!("{t}@{}", gens.get(t).copied().unwrap_or(0)))
-            .collect();
-        drop(gens);
-        parts.sort_unstable();
-        format!("{}|{}", parts.join(","), query.normalized())
-    }
-
-    /// Clone a cached response for one requester: flag it as served from
-    /// cache and, if profiling was requested, attach a synthetic broker
-    /// profile naming the cache hit (cached entries store no profile).
-    fn cached_response(&self, resp: &Arc<QueryResponse>, ctx: QueryCtx) -> QueryResponse {
-        let mut out = QueryResponse::clone(resp);
-        out.stats.served_from_cache = true;
-        out.profile = ctx.profile.then(|| {
-            let mut root = ProfileNode::named("broker", self.id.to_string());
-            root.children
-                .push(ProfileNode::named("result_cache", "hit"));
-            QueryProfile {
-                query_id: ctx.query_id,
-                root,
-            }
-        });
-        out
-    }
-
-    /// Acquire an admission slot (unless admission control is off), then
-    /// dispatch to the physical table(s). The permit is held across both
-    /// sides of a hybrid query — one logical query, one concurrency slot.
-    fn execute_admitted(
-        &self,
-        physical: &[String],
-        query: &Arc<Query>,
-        tenant: &str,
-        ctx: QueryCtx,
-        deadline: Instant,
-        phases: &mut PhaseNanos,
-    ) -> Result<QueryResponse> {
-        let _permit = if self.config.admission {
-            let permit = self
-                .admission
-                .admit(tenant, deadline, || {
-                    self.obs.metrics.counter_add("broker.admission_queued", 1);
-                })
-                .inspect_err(|_| {
-                    self.obs.metrics.counter_add("broker.admission_shed", 1);
-                })?;
-            Some(permit)
-        } else {
-            None
-        };
-        match physical {
-            [table] => self.execute_physical(table, query, tenant, ctx, deadline, None, phases),
+        // One admission slot per logical query, held across both sides
+        // of a hybrid query.
+        let _permit = self
+            .admission
+            .admit(&tenant, deadline, || {
+                self.obs.metrics.counter_add("broker.admission_queued", 1);
+            })
+            .inspect_err(|_| {
+                self.obs.metrics.counter_add("broker.admission_shed", 1);
+            })?;
+        match physical.as_slice() {
+            [table] => self.execute_physical(table, &query, &tenant, ctx, deadline, None, phases),
             [offline, realtime] => {
-                self.execute_hybrid(offline, realtime, query, tenant, ctx, deadline, phases)
+                self.execute_hybrid(offline, realtime, &query, &tenant, ctx, deadline, phases)
             }
             _ => Err(PinotError::Internal(format!(
                 "unexpected physical resolution {physical:?}"

@@ -12,40 +12,6 @@
 
 use crate::{PinotError, Result};
 
-/// Access-path strategy: `Auto` chooses per leaf from statistics; the
-/// forced modes pin one path wherever its structure exists (falling back
-/// to a scan where it does not) so tests and benches can isolate a
-/// strategy. Every mode produces byte-identical results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlannerMode {
-    #[default]
-    Auto,
-    Scan,
-    Inverted,
-    Sorted,
-}
-
-impl PlannerMode {
-    pub fn parse(s: &str) -> Option<PlannerMode> {
-        match s {
-            "auto" => Some(PlannerMode::Auto),
-            "scan" => Some(PlannerMode::Scan),
-            "inverted" => Some(PlannerMode::Inverted),
-            "sorted" => Some(PlannerMode::Sorted),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PlannerMode::Auto => "auto",
-            PlannerMode::Scan => "scan",
-            PlannerMode::Inverted => "inverted",
-            PlannerMode::Sorted => "sorted",
-        }
-    }
-}
-
 /// Morsel sizes snap to this grid: the 1024-doc decode block of
 /// `pinot-segment`'s packed vectors (`pinot-exec` asserts the two agree),
 /// so a morsel never splits a decode block.
@@ -78,10 +44,6 @@ pub struct EngineConfig {
     /// order is still unspecified, and results stay deterministic because
     /// every merge is slot-ordered, not because of the schedule.
     pub taskpool_threads: usize,
-    /// `PINOT_EXEC_PLANNER` — access-path strategy for filter leaves:
-    /// `auto` (default) | `scan` | `inverted` | `sorted`. The forced
-    /// modes exist for EXPLAIN debugging and the strategy-matrix tests.
-    pub planner: PlannerMode,
     /// `PINOT_EXEC_MORSEL_DOCS` — documents per morsel for intra-segment
     /// splitting, rounded to [`MORSEL_GRID_DOCS`]. Default
     /// [`DEFAULT_MORSEL_DOCS`]. The split is a pure function of data and
@@ -101,14 +63,6 @@ pub struct EngineConfig {
     /// `PINOT_EXEC_HEDGE` — hedged scatter: re-issue a straggling
     /// server's slice to another replica. Default on.
     pub hedge: bool,
-    /// `PINOT_EXEC_ADMISSION` — broker admission control. Default on,
-    /// with limits generous enough (64 per tenant, 128 queued) that
-    /// nothing sheds until an operator tightens them.
-    pub admission: bool,
-    /// `PINOT_EXEC_RESULT_CACHE` — broker result cache. Default off:
-    /// cached replays change observable scan counters for workloads that
-    /// repeat queries (benches do, deliberately).
-    pub result_cache: bool,
 }
 
 /// `available_parallelism`, asked once: on Linux it reads cgroup files,
@@ -123,13 +77,10 @@ impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
             taskpool_threads: host_parallelism(),
-            planner: PlannerMode::Auto,
             morsel_docs: DEFAULT_MORSEL_DOCS,
             fanout_threshold_ns: DEFAULT_FANOUT_NS,
             ingest_max_buffered_rows: 4_000_000,
             hedge: true,
-            admission: true,
-            result_cache: false,
         }
     }
 }
@@ -180,13 +131,6 @@ impl EngineConfig {
                 d.taskpool_threads,
             )?
             .max(1),
-            planner: knob(
-                env,
-                "PINOT_EXEC_PLANNER",
-                "auto, scan, inverted or sorted",
-                PlannerMode::parse,
-                d.planner,
-            )?,
             morsel_docs: clamp_morsel_docs(knob(
                 env,
                 "PINOT_EXEC_MORSEL_DOCS",
@@ -209,14 +153,6 @@ impl EngineConfig {
                 d.ingest_max_buffered_rows,
             )?,
             hedge: knob(env, "PINOT_EXEC_HEDGE", "0 or 1", flag, d.hedge)?,
-            admission: knob(env, "PINOT_EXEC_ADMISSION", "0 or 1", flag, d.admission)?,
-            result_cache: knob(
-                env,
-                "PINOT_EXEC_RESULT_CACHE",
-                "0 or 1",
-                flag,
-                d.result_cache,
-            )?,
         })
     }
 }
@@ -233,18 +169,12 @@ mod tests {
         fn(&mut EngineConfig),
         &'static str,
     );
-    const KNOBS: [Knob; 8] = [
+    const KNOBS: [Knob; 5] = [
         (
             "PINOT_TASKPOOL_THREADS",
             "0",
             |c| c.taskpool_threads = 1,
             "abc",
-        ),
-        (
-            "PINOT_EXEC_PLANNER",
-            "inverted",
-            |c| c.planner = PlannerMode::Inverted,
-            "invrted",
         ),
         (
             "PINOT_EXEC_MORSEL_DOCS",
@@ -265,13 +195,6 @@ mod tests {
             "1e6",
         ),
         ("PINOT_EXEC_HEDGE", "0", |c| c.hedge = false, ""),
-        ("PINOT_EXEC_ADMISSION", "0", |c| c.admission = false, "off"),
-        (
-            "PINOT_EXEC_RESULT_CACHE",
-            "1",
-            |c| c.result_cache = true,
-            "true",
-        ),
     ];
 
     #[test]
@@ -279,8 +202,7 @@ mod tests {
         let c = EngineConfig::from_lookup(|_| None).unwrap();
         assert_eq!(c, EngineConfig::default());
         assert!(c.taskpool_threads >= 1);
-        assert!(c.hedge && c.admission && !c.result_cache);
-        assert_eq!(c.planner, PlannerMode::Auto);
+        assert!(c.hedge);
         assert_eq!(c.morsel_docs, 65_536);
         assert_eq!(c.fanout_threshold_ns, 2_000_000);
         assert_eq!(c.ingest_max_buffered_rows, 4_000_000);

@@ -24,7 +24,7 @@ pub mod schema;
 pub mod time;
 pub mod value;
 
-pub use engine::{EngineConfig, PlannerMode};
+pub use engine::EngineConfig;
 pub use error::{PinotError, Result};
 pub use record::Record;
 pub use retry::RetryPolicy;

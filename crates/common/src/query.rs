@@ -168,9 +168,9 @@ pub struct ExecutionStats {
     /// gather and never double-count into `num_docs_scanned`/`per_server`.
     pub hedges_issued: u64,
     pub hedges_won: u64,
-    /// True when the broker answered from its result cache without
-    /// scattering. The payload is byte-identical to the execution that
-    /// populated the cache; the scan counters describe that execution.
+    /// Always false: no path sets it. Kept only because the benchmark
+    /// client reads it for `broker.cache_hit_frac`; it goes together
+    /// with that metric.
     pub served_from_cache: bool,
 }
 
@@ -197,7 +197,6 @@ impl ExecutionStats {
         self.per_server.extend(other.per_server.iter().cloned());
         self.hedges_issued += other.hedges_issued;
         self.hedges_won += other.hedges_won;
-        self.served_from_cache |= other.served_from_cache;
     }
 
     /// Figure 13's metric: preaggregated docs scanned / raw docs equivalent.
@@ -224,18 +223,6 @@ pub struct QueryResponse {
     /// Merged broker → server → segment operator profile; `None` unless
     /// the request set [`QueryRequest::profile`].
     pub profile: Option<crate::profile::QueryProfile>,
-}
-
-impl QueryResponse {
-    pub fn empty_aggregation() -> QueryResponse {
-        QueryResponse {
-            result: QueryResult::Aggregation(Vec::new()),
-            stats: ExecutionStats::default(),
-            partial: false,
-            exceptions: Vec::new(),
-            profile: None,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -549,12 +549,8 @@ impl PinotCluster {
                     resp.stats.num_segments_pruned,
                     resp.stats.time_used_ms,
                 ));
-                // Survival-layer annotations, only when they fired: a
-                // cache-served answer or hedged servers are visible right
-                // in the ANALYZE output.
-                if resp.stats.served_from_cache {
-                    out.push_str(" cache=hit");
-                }
+                // Hedged servers, only when hedging fired, are visible
+                // right in the ANALYZE output.
                 if resp.stats.hedges_issued > 0 {
                     out.push_str(&format!(
                         " hedges={}/{}",

@@ -561,54 +561,110 @@ fn pruned_results_match_reference() {
     }
 }
 
-/// Access-path strategy matrix (ISSUE 9): the cost-based planner's choice
-/// of inverted probe vs sorted binary search vs scan is a pure performance
+/// Access-path strategy matrix: the cost-based planner's choice of
+/// inverted probe vs sorted binary search vs scan is a pure performance
 /// decision, so every cell of {auto, forced scan, forced inverted, forced
-/// sorted} × {1, 4 threads} must return *byte-identical* results on an
-/// indexed table, and the forced-scan reference cell must match the
+/// sorted} × {1, 4 threads} must return *byte-identical* results on
+/// indexed segments, and the forced-scan reference cell must match the
 /// reference interpreter. Strategy-invariant stats (docs scanned,
 /// post-filter entries, segment accounting) must agree across the matrix
 /// too; only `num_entries_scanned_in_filter` may differ — that's the
-/// entire point of picking a cheaper access path.
+/// entire point of picking a cheaper access path. The mode is pinned per
+/// execution through `ExecOptions::planner`, which no cluster sets, so
+/// the cells drive the segments directly: each segment runs as a task on
+/// a pool of the cell's thread count, partials merge in segment order and
+/// finalize as the broker does.
 #[test]
 fn planner_strategy_matrix_is_byte_identical() {
-    use pinot_core::exec::PlannerMode;
+    use pinot_core::exec::segment_exec::{
+        execute_on_segment_with, IntermediateResult, SegmentHandle,
+    };
+    use pinot_core::exec::{finalize, merge_intermediate, ExecOptions, ParallelExec, PlannerMode};
+    use pinot_core::obs::Obs;
+    use pinot_core::segment::builder::{BuilderConfig, SegmentBuilder};
+    use pinot_core::taskpool::TaskPool;
+    use std::sync::{Arc, Mutex};
 
     const SEED: u64 = 19;
     const CASES: usize = 40;
 
     let rows = gen_rows(SEED);
-    let build = |mode: PlannerMode, threads: usize| {
-        let mut config = ClusterConfig::default().with_servers(1);
-        config.engine.taskpool_threads = threads;
-        config.engine.planner = mode;
-        config.num_controllers = 1;
-        let c = PinotCluster::start(config).unwrap();
-        // Sorted day + inverted country/device so every access path has
-        // real structure to pick (and the forced modes aren't all no-ops).
-        c.create_table(
-            TableConfig::offline(TABLE)
-                .with_sorted_column("day")
-                .with_inverted_indexes(&["country", "device"]),
-            schema(),
-        )
-        .unwrap();
-        for chunk in rows.chunks(ROWS_PER_SEGMENT) {
-            c.upload_rows(TABLE, chunk.to_vec()).unwrap();
-        }
-        c
-    };
+    // Sorted day + inverted country/device so every access path has
+    // real structure to pick (and the forced modes aren't all no-ops).
+    let segments: Vec<SegmentHandle> = rows
+        .chunks(ROWS_PER_SEGMENT)
+        .enumerate()
+        .map(|(i, chunk)| {
+            let cfg = BuilderConfig::new(format!("{TABLE}_{i}"), TABLE)
+                .with_sort_columns(&["day"])
+                .with_inverted_columns(&["country", "device"]);
+            let mut b = SegmentBuilder::new(schema(), cfg).unwrap();
+            for r in chunk {
+                b.add(r.clone()).unwrap();
+            }
+            SegmentHandle::new(Arc::new(b.build().unwrap()))
+        })
+        .collect();
 
     let queries: Vec<String> = {
         let mut rng = StdRng::seed_from_u64(SEED ^ 0x91a);
         (0..CASES).map(|_| gen_query(&mut rng)).collect()
     };
 
-    let reference = build(PlannerMode::Scan, 1);
-    let ref_responses: Vec<QueryResponse> = queries
-        .iter()
-        .map(|pql| reference.execute(&QueryRequest::new(pql)))
-        .collect();
+    // One cell's answers to every query, plus the metrics its executions
+    // recorded. A failed segment surfaces as a partial response.
+    let run_cell = |mode: PlannerMode, threads: usize| {
+        let obs = Obs::shared();
+        let pool = Arc::new(TaskPool::with_threads(threads, Some(Arc::clone(&obs))));
+        let opts = ExecOptions {
+            obs: Some(Arc::clone(&obs)),
+            parallel: Some(ParallelExec::new(Arc::clone(&pool))),
+            planner: mode,
+            ..ExecOptions::default()
+        };
+        let responses: Vec<QueryResponse> = queries
+            .iter()
+            .map(|pql| {
+                let query = pinot_pql::parse(pql).unwrap();
+                let slots: Vec<Mutex<Option<pinot_common::Result<IntermediateResult>>>> =
+                    segments.iter().map(|_| Mutex::new(None)).collect();
+                pool.scope(|scope| {
+                    for (handle, slot) in segments.iter().zip(&slots) {
+                        let (query, opts) = (&query, &opts);
+                        scope.spawn(move || {
+                            *slot.lock().unwrap() =
+                                Some(execute_on_segment_with(handle, query, opts));
+                        });
+                    }
+                });
+                let mut acc = IntermediateResult::empty_for(&query);
+                let merged = slots.into_iter().try_for_each(|slot| {
+                    let partial = slot.into_inner().unwrap().expect("scope ran every task")?;
+                    merge_intermediate(&mut acc, partial)
+                });
+                let stats = acc.stats.clone();
+                match merged.and_then(|()| finalize(acc, &query)) {
+                    Ok(result) => QueryResponse {
+                        result,
+                        stats,
+                        partial: false,
+                        exceptions: Vec::new(),
+                        profile: None,
+                    },
+                    Err(e) => QueryResponse {
+                        result: QueryResult::Aggregation(Vec::new()),
+                        stats,
+                        partial: true,
+                        exceptions: vec![e.to_string()],
+                        profile: None,
+                    },
+                }
+            })
+            .collect();
+        (responses, obs.metrics.snapshot())
+    };
+
+    let (ref_responses, _) = run_cell(PlannerMode::Scan, 1);
     for (pql, resp) in queries.iter().zip(&ref_responses) {
         assert_matches_reference("planner cell Scan t=1", pql, resp, &rows);
     }
@@ -623,9 +679,8 @@ fn planner_strategy_matrix_is_byte_identical() {
             if mode == PlannerMode::Scan && threads == 1 {
                 continue; // the reference cell itself
             }
-            let cell = build(mode, threads);
-            for (pql, reference) in queries.iter().zip(&ref_responses) {
-                let got = cell.execute(&QueryRequest::new(pql));
+            let (responses, snap) = run_cell(mode, threads);
+            for ((pql, reference), got) in queries.iter().zip(&ref_responses).zip(&responses) {
                 assert!(
                     !got.partial && got.exceptions.is_empty(),
                     "cell {mode:?} t={threads} failed {pql}: {:?}",
@@ -660,7 +715,6 @@ fn planner_strategy_matrix_is_byte_identical() {
             // never touches an index; auto uses all three paths on this
             // corpus (equality on inverted columns, ranges on the
             // sorted time column, metric predicates that only scan).
-            let snap = cell.metrics_snapshot();
             let inverted = snap.counter("exec.plan_inverted");
             let sorted = snap.counter("exec.plan_sorted");
             let scan = snap.counter("exec.plan_scan");
@@ -727,14 +781,13 @@ fn mv_aggregation_is_a_typed_exception_not_a_panic() {
     assert_matches_reference("after rejection", &pql, &got, &rows);
 }
 
-// ---- survival layer (ISSUE 7): all knobs on vs all knobs off ----
+// ---- survival layer: hedging on vs off ----
 
-/// Hedging, admission control, and the result cache are pure availability
-/// mechanisms: with every knob on, the answer to any query must be
-/// byte-identical to a cluster with every knob off. Cache hits replay the
-/// exact payload the leader computed; hedge winners carry the same segment
-/// slice as the primary they replace; generous untuned admission limits
-/// admit everything. 4 seeds × 60 queries = 240 cases.
+/// Hedging is a pure availability mechanism: with it on, the answer to
+/// any query must be byte-identical to a cluster with it off. Hedge
+/// winners carry the same segment slice as the primary they replace.
+/// Admission runs on both sides, and its default limits admit everything
+/// without queueing. 4 seeds × 60 queries = 240 cases.
 #[test]
 fn survival_knobs_are_byte_invisible() {
     const SEEDS: &[u64] = &[11, 23, 57, 91];
@@ -749,8 +802,6 @@ fn survival_knobs_are_byte_invisible() {
             let mut config = ClusterConfig::default().with_servers(1);
             config.engine.taskpool_threads = 2;
             config.engine.hedge = on;
-            config.engine.admission = on;
-            config.engine.result_cache = on;
             config.num_controllers = 1;
             let c = PinotCluster::start(config).unwrap();
             c.create_table(TableConfig::offline(TABLE), schema())
@@ -781,33 +832,22 @@ fn survival_knobs_are_byte_invisible() {
             );
             assert_eq!(
                 a.result, b.result,
-                "survival knobs observable via seed {seed} case {case} {pql}"
+                "hedging observable via seed {seed} case {case} {pql}"
             );
         }
 
-        // The bare cluster ran with everything off — nothing cached,
-        // nothing hedged, nothing queued or shed.
-        let bsnap = bare.metrics_snapshot();
-        for metric in [
-            "broker.cache_hit",
-            "broker.cache_miss",
-            "broker.cache_coalesced",
-            "broker.hedge_issued",
-            "broker.admission_queued",
-            "broker.admission_shed",
-        ] {
-            assert_eq!(bsnap.counter(metric), 0, "{metric} fired with knobs off");
-        }
-        // The armored cluster's cache really engaged: every query at
-        // least consulted it (the generator repeats some shapes, so both
-        // hits and misses occur across a seed).
-        let asnap = armored.metrics_snapshot();
+        // The bare cluster never hedged; neither side queued or shed.
+        let (asnap, bsnap) = (armored.metrics_snapshot(), bare.metrics_snapshot());
         assert_eq!(
-            asnap.counter("broker.cache_hit") + asnap.counter("broker.cache_miss"),
-            QUERIES_PER_SEED as u64,
-            "every query should consult the result cache"
+            bsnap.counter("broker.hedge_issued"),
+            0,
+            "hedged with hedging off"
         );
-        assert_eq!(asnap.counter("broker.admission_shed"), 0);
+        for snap in [&asnap, &bsnap] {
+            for metric in ["broker.admission_queued", "broker.admission_shed"] {
+                assert_eq!(snap.counter(metric), 0, "{metric} fired");
+            }
+        }
     }
 }
 

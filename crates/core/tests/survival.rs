@@ -1,11 +1,11 @@
-//! Broker survival layer scenarios (ISSUE 7): hedged scatter, tiered
-//! admission control, and the single-flight result cache.
+//! Broker survival layer scenarios: hedged scatter and tiered admission
+//! control.
 //!
 //! Every scenario is deterministic: straggler servers are made by `Delay`
-//! faults at the `server.execute` chaos site, hedge targets are the first
-//! sorted surviving replica, and cache keys are normalized-AST plus
-//! view-generation, so no test depends on thread scheduling for its
-//! result payload — only (generously bounded) wall-clock assertions do.
+//! faults at the `server.execute` chaos site and hedge targets are the
+//! first sorted surviving replica, so no test depends on thread scheduling
+//! for its result payload — only (generously bounded) wall-clock
+//! assertions do.
 
 use pinot_common::config::TableConfig;
 use pinot_common::query::{QueryRequest, QueryResult};
@@ -114,7 +114,6 @@ fn hedging_masks_a_delay_faulted_server() {
         resp.stats.hedges_issued
     );
     assert!(resp.stats.hedges_won >= 1);
-    assert!(!resp.stats.served_from_cache);
     // The straggler's slice shows up as covered by its hedge target.
     let straggler = resp
         .stats
@@ -212,130 +211,6 @@ fn all_replicas_faulted_degrades_to_partial() {
     );
 }
 
-/// Satellite: cache invalidation on segment commit. A cached result is
-/// served until new data commits; the commit bumps the table's view
-/// generation and the next query recomputes against fresh data.
-#[test]
-fn cache_invalidates_on_segment_commit() {
-    let mut config = ClusterConfig::default().with_servers(1);
-    config.engine.result_cache = true;
-    let cluster = PinotCluster::start(config).unwrap();
-    cluster
-        .create_table(TableConfig::offline("views"), schema())
-        .unwrap();
-    cluster.upload_rows("views", rows(0, 40)).unwrap();
-
-    let q = "SELECT COUNT(*) FROM views";
-    let first = cluster.query(q);
-    assert_eq!(count_of(&first), 40);
-    assert!(!first.stats.served_from_cache);
-
-    let second = cluster.query(q);
-    assert_eq!(count_of(&second), 40);
-    assert!(
-        second.stats.served_from_cache,
-        "repeat query must hit the cache"
-    );
-    assert_eq!(second.result, first.result);
-    let snap = cluster.metrics_snapshot();
-    assert_eq!(snap.counter("broker.cache_hit"), 1);
-
-    // Commit new data: the view change invalidates every cached entry for
-    // the table, so no stale read crosses the commit.
-    cluster.upload_rows("views", rows(100, 10)).unwrap();
-    let third = cluster.query(q);
-    assert_eq!(count_of(&third), 50, "post-commit data must be visible");
-    assert!(!third.stats.served_from_cache);
-    let snap = cluster.metrics_snapshot();
-    assert_eq!(
-        snap.counter("broker.cache_hit"),
-        1,
-        "the stale entry must not be served after the commit"
-    );
-}
-
-/// Satellite regression: partial/exception responses must never be
-/// admitted to the result cache — a degraded answer served once is a
-/// transient; served forever from cache it is data loss.
-#[test]
-fn partial_responses_are_never_cached() {
-    let mut config = ClusterConfig::default().with_servers(2);
-    config.engine.result_cache = true;
-    let cluster = PinotCluster::start(config).unwrap();
-    cluster
-        .create_table(TableConfig::offline("views"), schema())
-        .unwrap();
-    for base in [0i64, 100] {
-        cluster.upload_rows("views", rows(base, 30)).unwrap();
-    }
-
-    let q = "SELECT COUNT(*) FROM views";
-    // Replication is 1, so a failed server is unrecoverable → partial.
-    let fault = cluster.chaos().arm(
-        sites::SERVER_EXECUTE,
-        Fault::fail(PinotError::Io("nic down".into()))
-            .with_scope(FaultScope::any().instance("Server_1")),
-    );
-    let degraded = cluster.query(q);
-    assert!(degraded.partial, "fault should degrade the query");
-    cluster.chaos().disarm(fault);
-
-    let healed = cluster.query(q);
-    assert!(!healed.partial, "{:?}", healed.exceptions);
-    assert!(
-        !healed.stats.served_from_cache,
-        "the partial response must not have been cached"
-    );
-    assert_eq!(count_of(&healed), 60);
-    assert_eq!(cluster.metrics_snapshot().counter("broker.cache_hit"), 0);
-}
-
-/// Single-flight: concurrent identical queries coalesce onto one
-/// execution — one miss leads, everyone else rides its answer.
-#[test]
-fn concurrent_identical_queries_coalesce() {
-    let mut config = ClusterConfig::default().with_servers(1);
-    config.engine.result_cache = true;
-    let cluster = Arc::new(PinotCluster::start(config).unwrap());
-    cluster
-        .create_table(TableConfig::offline("views"), schema())
-        .unwrap();
-    cluster.upload_rows("views", rows(0, 80)).unwrap();
-
-    // Slow the one real execution down so the other threads arrive while
-    // it is still in flight.
-    cluster
-        .chaos()
-        .arm(sites::SERVER_EXECUTE, Fault::delay_ms(40).first_n(1));
-
-    let threads: Vec<_> = (0..8)
-        .map(|_| {
-            let cluster = Arc::clone(&cluster);
-            std::thread::spawn(move || cluster.query("SELECT SUM(clicks) FROM views"))
-        })
-        .collect();
-    let responses: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
-
-    for resp in &responses {
-        assert!(!resp.partial, "{:?}", resp.exceptions);
-        assert_eq!(
-            resp.result, responses[0].result,
-            "coalesced answers must agree"
-        );
-    }
-    let snap = cluster.metrics_snapshot();
-    assert_eq!(
-        snap.counter("broker.cache_miss"),
-        1,
-        "exactly one leader executes"
-    );
-    assert_eq!(
-        snap.counter("broker.cache_hit") + snap.counter("broker.cache_coalesced"),
-        7,
-        "everyone else is served without touching the cluster"
-    );
-}
-
 /// Admission control sheds with the typed `Overloaded` error — distinct
 /// from the server-side `QuotaExceeded` — once the tenant's slots and the
 /// wait queue are both exhausted.
@@ -416,57 +291,4 @@ fn admission_queues_within_bounds_instead_of_shedding() {
     let snap = cluster.metrics_snapshot();
     assert!(snap.counter("broker.admission_queued") >= 1);
     assert_eq!(snap.counter("broker.admission_shed"), 0);
-}
-
-/// Graceful degradation: while the scatter path sheds everything, queries
-/// answerable from the result cache are still admitted and served.
-#[test]
-fn cached_queries_are_served_while_shedding() {
-    let mut config = ClusterConfig::default().with_servers(1);
-    config.engine.result_cache = true;
-    let cluster = PinotCluster::start(config).unwrap();
-    cluster
-        .create_table(TableConfig::offline("views"), schema())
-        .unwrap();
-    cluster.upload_rows("views", rows(0, 40)).unwrap();
-
-    let q = "SELECT COUNT(*) FROM views";
-    let primed = cluster.query(q);
-    assert!(!primed.partial);
-
-    // Shed everything: zero slots, zero queue.
-    cluster.brokers()[0].set_admission_limits(AdmissionLimits {
-        per_tenant: 0,
-        queue: 0,
-    });
-    let cached = cluster.query(q);
-    assert!(
-        !cached.partial,
-        "cached-servable query must bypass shedding"
-    );
-    assert!(cached.stats.served_from_cache);
-    assert_eq!(cached.result, primed.result);
-
-    let fresh = cluster.query("SELECT SUM(clicks) FROM views");
-    assert!(fresh.partial, "uncached query must shed while overloaded");
-    assert!(fresh.exceptions.iter().any(|e| e.starts_with("overloaded")));
-}
-
-/// EXPLAIN ANALYZE surfaces the survival layer: a cache-served run is
-/// annotated `cache=hit` and its profile tree names the result cache.
-#[test]
-fn explain_analyze_shows_cache_hit() {
-    let mut config = ClusterConfig::default().with_servers(1);
-    config.engine.result_cache = true;
-    let cluster = PinotCluster::start(config).unwrap();
-    cluster
-        .create_table(TableConfig::offline("views"), schema())
-        .unwrap();
-    cluster.upload_rows("views", rows(0, 40)).unwrap();
-
-    let q = "SELECT COUNT(*) FROM views";
-    let _prime = cluster.query(q);
-    let report = cluster.explain(&format!("EXPLAIN ANALYZE {q}")).unwrap();
-    assert!(report.contains("cache=hit"), "report:\n{report}");
-    assert!(report.contains("result_cache"), "report:\n{report}");
 }

@@ -29,6 +29,7 @@
 //! [`ForwardIndex::read_block`]: pinot_segment::forward::ForwardIndex::read_block
 
 use crate::aggstate::AggState;
+use crate::cost::PlannerMode;
 use crate::key::{GroupKey, GroupValue};
 use crate::selection::{DocBlock, DocSelection};
 use pinot_common::query::ExecutionStats;
@@ -38,7 +39,6 @@ use pinot_pql::{AggFunction, AggregateExpr};
 use pinot_segment::bitpack::bits_needed;
 use pinot_segment::column::ColumnData;
 use pinot_segment::{DictId, Dictionary};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -46,9 +46,9 @@ use std::sync::Arc;
 /// the query: the engine's knobs plus the per-request switches.
 #[derive(Clone, Default)]
 pub struct ExecOptions {
-    /// The engine configuration; execution reads `planner` and
-    /// `morsel_docs` from it. Servers share their cluster's resolved
-    /// value; the default is [`EngineConfig::default`].
+    /// The engine configuration; execution reads `morsel_docs` from it.
+    /// Servers share their cluster's resolved value; the default is
+    /// [`EngineConfig::default`].
     pub config: Arc<EngineConfig>,
     /// Metrics sink for kernel counters; optional so tests and the
     /// baseline engine can run without one.
@@ -67,6 +67,10 @@ pub struct ExecOptions {
     /// default) executes morsels inline on the caller thread; results
     /// are byte-identical either way.
     pub parallel: Option<crate::morsel::ParallelExec>,
+    /// Access-path strategy for filter leaves. Production execution keeps
+    /// the default, [`PlannerMode::Auto`]; tests pin a forced mode to
+    /// isolate one strategy, and every mode returns the same bytes.
+    pub planner: PlannerMode,
 }
 
 impl ExecOptions {
@@ -641,16 +645,8 @@ pub(crate) fn group_by_selection<K: PackedKey>(
             .map(|(ci, col)| GroupValue::from_value(&col.dictionary.value_of(key.get(layout, ci))))
             .collect();
         let group: Vec<AggState> = states.by_ref().take(n).collect();
-        match out.entry(group_key) {
-            Entry::Occupied(mut e) => {
-                for (x, y) in e.get_mut().iter_mut().zip(group) {
-                    x.merge(y).expect("states of one aggregation merge");
-                }
-            }
-            Entry::Vacant(e) => {
-                e.insert(group);
-            }
-        }
+        crate::merge::merge_group(&mut out, group_key, group)
+            .expect("states of one aggregation merge");
     }
     out
 }

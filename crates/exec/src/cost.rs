@@ -22,9 +22,23 @@
 //! results.
 
 use crate::selection::{IdMatcher, MatchKind};
-pub use pinot_common::PlannerMode;
 use pinot_pql::{CmpOp, Predicate};
 use pinot_segment::ImmutableSegment;
+
+/// Access-path strategy: `Auto` chooses per leaf from statistics; the
+/// forced modes pin one path wherever its structure exists (falling back
+/// to a scan where it does not) so tests can isolate a strategy. Every
+/// mode produces byte-identical results. Production execution always
+/// runs `Auto`; only [`crate::ExecOptions::planner`] selects another
+/// mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PlannerMode {
+    #[default]
+    Auto,
+    Scan,
+    Inverted,
+    Sorted,
+}
 
 /// Physical access path chosen for one predicate leaf.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -319,19 +333,6 @@ mod tests {
 
     fn filter_of(q: &str) -> Predicate {
         parse(q).unwrap().filter.unwrap()
-    }
-
-    #[test]
-    fn mode_parsing_round_trips() {
-        for m in [
-            PlannerMode::Auto,
-            PlannerMode::Scan,
-            PlannerMode::Inverted,
-            PlannerMode::Sorted,
-        ] {
-            assert_eq!(PlannerMode::parse(m.as_str()), Some(m));
-        }
-        assert_eq!(PlannerMode::parse("bogus"), None);
     }
 
     #[test]

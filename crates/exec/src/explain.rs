@@ -98,7 +98,7 @@ pub fn explain_segment(
 
     let plan = planner::plan_segment(handle, effective);
     let predicate_order = if plan == PlanKind::Raw {
-        planner::conjunct_order(segment, effective.filter.as_ref(), opts.config.planner)
+        planner::conjunct_order(segment, effective.filter.as_ref(), opts.planner)
     } else {
         Vec::new()
     };
@@ -204,7 +204,7 @@ pub fn render_plan(query: &Query, mut segments: Vec<SegmentExplain>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pinot_common::{DataType, EngineConfig, FieldSpec, Record, Schema, TimeUnit, Value};
+    use pinot_common::{DataType, FieldSpec, Record, Schema, TimeUnit, Value};
     use pinot_pql::parse;
     use pinot_segment::builder::{BuilderConfig, SegmentBuilder};
     use std::sync::Arc;
@@ -294,10 +294,7 @@ mod tests {
             &parse("SELECT SUM(clicks) FROM t WHERE country = 'us'").unwrap(),
             Some("day"),
             &ExecOptions {
-                config: Arc::new(EngineConfig {
-                    planner: crate::cost::PlannerMode::Scan,
-                    ..EngineConfig::default()
-                }),
+                planner: crate::cost::PlannerMode::Scan,
                 ..ExecOptions::default()
             },
         )

@@ -4,17 +4,41 @@
 //! (§3.3.3 steps 6–7). Both use [`merge_intermediate`]. The broker then
 //! calls [`finalize`] to apply top-n ordering and produce the client shape.
 
+use crate::aggstate::AggState;
+use crate::key::GroupKey;
 use crate::segment_exec::{IntermediateResult, ResultPayload};
 use pinot_common::profile::ProfileNode;
 use pinot_common::query::{AggregationRow, GroupByRows, QueryResult};
 use pinot_common::{PinotError, Result};
 use pinot_pql::Query;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 /// Fold `other` into `acc`. Both must come from the same query.
 pub fn merge_intermediate(acc: &mut IntermediateResult, other: IntermediateResult) -> Result<()> {
     acc.stats.merge(&other.stats);
     merge_profiles(&mut acc.profile, other.profile);
     merge_payload(&mut acc.payload, other.payload)
+}
+
+/// Fold one group's states into `groups`: a new key inserts, a key
+/// already present merges state by state.
+pub(crate) fn merge_group(
+    groups: &mut HashMap<GroupKey, Vec<AggState>>,
+    key: GroupKey,
+    states: Vec<AggState>,
+) -> Result<()> {
+    match groups.entry(key) {
+        Entry::Occupied(mut e) => {
+            for (x, y) in e.get_mut().iter_mut().zip(states) {
+                x.merge(y)?;
+            }
+        }
+        Entry::Vacant(e) => {
+            e.insert(states);
+        }
+    }
+    Ok(())
 }
 
 /// The payload half of [`merge_intermediate`]: commutative and
@@ -37,16 +61,7 @@ pub(crate) fn merge_payload(acc: &mut ResultPayload, other: ResultPayload) -> Re
         }
         (ResultPayload::GroupBy(a), ResultPayload::GroupBy(b)) => {
             for (key, states) in b {
-                match a.get_mut(&key) {
-                    Some(existing) => {
-                        for (x, y) in existing.iter_mut().zip(states) {
-                            x.merge(y)?;
-                        }
-                    }
-                    None => {
-                        a.insert(key, states);
-                    }
-                }
+                merge_group(a, key, states)?;
             }
             Ok(())
         }

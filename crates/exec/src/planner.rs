@@ -10,7 +10,7 @@ use crate::segment_exec::SegmentHandle;
 use crate::selection::{DocSelection, IdMatcher, MatchKind};
 use pinot_bitmap::RoaringBitmap;
 use pinot_common::query::ExecutionStats;
-use pinot_common::{EngineConfig, Result, Value};
+use pinot_common::{Result, Value};
 use pinot_obs::Obs;
 use pinot_pql::{AggFunction, CmpOp, Predicate, Query, SelectList};
 use pinot_segment::{DictId, ImmutableSegment};
@@ -303,14 +303,14 @@ pub struct ConjunctMeasure {
 }
 
 /// Evaluate a filter to a document selection, using the best index per leaf
-/// and ordering conjuncts cheapest-first (§4.2), with the access-path
-/// strategy of [`EngineConfig::default`].
+/// and ordering conjuncts cheapest-first (§4.2), with the `Auto`
+/// access-path strategy.
 pub fn evaluate_filter(
     segment: &ImmutableSegment,
     pred: Option<&Predicate>,
     stats: &mut ExecutionStats,
 ) -> Result<DocSelection> {
-    evaluate_filter_planned(segment, pred, stats, EngineConfig::default().planner)
+    evaluate_filter_planned(segment, pred, stats, PlannerMode::Auto)
 }
 
 /// Like [`evaluate_filter`] with the access-path strategy pinned — the

@@ -186,7 +186,7 @@ pub fn execute_on_segment_with(
     // skips the report to stay within its overhead budget.
     let conjuncts = (opts.profile && opts.analyze).then(|| std::cell::RefCell::new(Vec::new()));
     let fctx = planner::FilterCtx {
-        mode: opts.config.planner,
+        mode: opts.planner,
         obs: opts.obs.as_deref(),
         report: conjuncts.as_ref(),
     };
@@ -531,7 +531,9 @@ fn execute_star_tree(
         });
     }
 
-    // Translate group keys from dict-id space to values.
+    // Translate group keys from dict-id space to values. Two ids can
+    // share one canonical value (`0.0` and `-0.0` in a DOUBLE
+    // dictionary); their groups merge, as in the block kernels.
     let dim_cols: Vec<&ColumnData> = group_dims
         .iter()
         .map(|&d| segment.column(&tree.dimensions()[d]))
@@ -546,7 +548,7 @@ fn execute_star_tree(
             .zip(&dim_cols)
             .map(|(id, col)| GroupValue::from_value(&col.dictionary.value_of(*id)))
             .collect();
-        out.insert(key, make_states(agg_values)?);
+        crate::merge::merge_group(&mut out, key, make_states(agg_values)?)?;
     }
     Ok(IntermediateResult {
         payload: ResultPayload::GroupBy(out),

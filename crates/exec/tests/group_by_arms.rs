@@ -1,15 +1,17 @@
 //! Every arm of the group-by kernel against the reference interpreter
 //! (`pinot_baseline::reference`) on one segment: the dense slot table,
-//! the hash-map fallback, the boxed id-slice key past 64 bits, and
-//! multi-value key expansion.
+//! the hash-map fallback, the boxed id-slice key past 64 bits,
+//! multi-value key expansion, and the star-tree group path.
 //!
 //! The DOUBLE group column `x` holds `0.0` and `-0.0` and three NaN bit
 //! patterns. The dictionary keeps them apart (it orders by `total_cmp`),
 //! while a group key collapses each family into one canonical value, so
 //! two or more dictionary ids land on the same group and their states
-//! must merge rather than overwrite each other.
+//! must merge rather than overwrite each other — in the block kernels and
+//! in the star-tree, whose groups are keyed by dictionary id too.
 
 use pinot_baseline::reference;
+use pinot_common::config::StarTreeConfig;
 use pinot_common::query::QueryResult;
 use pinot_common::{DataType, FieldSpec, Record, Schema, Value};
 use pinot_exec::finalize;
@@ -17,6 +19,7 @@ use pinot_exec::segment_exec::{execute_on_segment, SegmentHandle};
 use pinot_pql::parse;
 use pinot_segment::bitpack::bits_needed;
 use pinot_segment::builder::{BuilderConfig, SegmentBuilder};
+use pinot_startree::build_star_tree;
 use std::sync::Arc;
 
 /// Rows: enough that five 4,100-value columns overflow a packed word.
@@ -100,8 +103,18 @@ fn key_bits(handle: &SegmentHandle, cols: &[&str]) -> u32 {
 
 /// Results compare through `Debug`, where every NaN prints alike.
 fn check(handle: &SegmentHandle, rows: &[Record], pql: &str) {
+    check_plan(handle, rows, pql, false);
+}
+
+/// [`check`], also asserting whether the star-tree answered.
+fn check_plan(handle: &SegmentHandle, rows: &[Record], pql: &str, star_tree: bool) {
     let q = parse(pql).unwrap();
-    let got = finalize(execute_on_segment(handle, &q).unwrap(), &q).unwrap();
+    let partial = execute_on_segment(handle, &q).unwrap();
+    assert_eq!(
+        partial.stats.num_segments_star_tree, star_tree as u64,
+        "{pql}"
+    );
+    let got = finalize(partial, &q).unwrap();
     let want = reference::evaluate(&schema(), rows, &q).unwrap();
     assert!(matches!(want, QueryResult::GroupBy(_)), "{pql}");
     assert_eq!(format!("{got:?}"), format!("{want:?}"), "{pql}");
@@ -179,5 +192,31 @@ fn multi_value_arm_matches_reference() {
         "SELECT SUM(m) FROM t GROUP BY tags, g0 TOP 10000",
     ] {
         check(&handle, &rows, pql);
+    }
+}
+
+/// The star-tree keys its groups by dictionary id, so a tree grouped on
+/// `x` holds six groups that the canonical key folds into three.
+#[test]
+fn star_tree_arm_matches_reference() {
+    let rows = rows();
+    let handle = segment(&rows);
+    let tree = build_star_tree(
+        &handle.segment,
+        &StarTreeConfig {
+            dimensions: vec!["x".into(), "c".into(), "k".into()],
+            metrics: vec!["m".into()],
+            max_leaf_records: 4,
+            skip_star_dimensions: vec![],
+        },
+    )
+    .unwrap();
+    let handle = handle.with_star_tree(Arc::new(tree));
+    for pql in [
+        "SELECT SUM(m), COUNT(*) FROM t GROUP BY x TOP 100",
+        "SELECT SUM(m), COUNT(*), MIN(m), MAX(m), AVG(m) FROM t GROUP BY x, c TOP 100",
+        "SELECT SUM(m), COUNT(*) FROM t WHERE k = 3 GROUP BY c, x TOP 100",
+    ] {
+        check_plan(&handle, &rows, pql, true);
     }
 }

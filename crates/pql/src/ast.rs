@@ -170,35 +170,6 @@ impl Query {
         self.limit.unwrap_or(10)
     }
 
-    /// Canonical textual form of the parsed query, used as the broker's
-    /// result-cache key. Two PQL strings that parse to the same semantics
-    /// — different keyword case, whitespace, or commutative conjunct/IN
-    /// order — normalize to one key; any semantic difference (constants,
-    /// operators, columns, effective TOP/LIMIT) yields a different key.
-    pub fn normalized(&self) -> String {
-        let select = match &self.select {
-            SelectList::Star => "*".to_string(),
-            SelectList::Projections(cols) => cols.join(","),
-            SelectList::Aggregations(aggs) => aggs
-                .iter()
-                .map(|a| a.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-        };
-        let filter = self
-            .filter
-            .as_ref()
-            .map(normalize_predicate)
-            .unwrap_or_default();
-        format!(
-            "select={select}|table={}|where={filter}|group={}|top={}|limit={}",
-            self.table,
-            self.group_by.join(","),
-            self.effective_top(),
-            self.effective_limit(),
-        )
-    }
-
     /// All columns the query touches (select + filter + group by).
     pub fn referenced_columns(&self) -> Vec<&str> {
         let mut cols: Vec<&str> = Vec::new();
@@ -216,40 +187,6 @@ impl Query {
         cols.sort_unstable();
         cols.dedup();
         cols
-    }
-}
-
-/// Canonical rendering of a predicate tree. AND/OR children and IN value
-/// lists are sorted by their rendered form — commutative reorderings of
-/// the same filter produce the same key without changing semantics.
-fn normalize_predicate(p: &Predicate) -> String {
-    match p {
-        Predicate::And(ps) | Predicate::Or(ps) => {
-            let op = if matches!(p, Predicate::And(_)) {
-                "and"
-            } else {
-                "or"
-            };
-            let mut parts: Vec<String> = ps.iter().map(normalize_predicate).collect();
-            parts.sort_unstable();
-            format!("{op}({})", parts.join(","))
-        }
-        Predicate::Not(inner) => format!("not({})", normalize_predicate(inner)),
-        Predicate::Cmp { column, op, value } => {
-            format!("cmp({column},{},{value:?})", op.symbol())
-        }
-        Predicate::In {
-            column,
-            values,
-            negated,
-        } => {
-            let mut vs: Vec<String> = values.iter().map(|v| format!("{v:?}")).collect();
-            vs.sort_unstable();
-            format!("in({column},neg={negated},[{}])", vs.join(","))
-        }
-        Predicate::Between { column, low, high } => {
-            format!("between({column},{low:?},{high:?})")
-        }
     }
 }
 
@@ -328,46 +265,6 @@ mod tests {
         assert_eq!(q.referenced_columns(), vec!["d", "g", "m"]);
         assert!(q.is_aggregation());
         assert_eq!(q.effective_top(), 10);
-    }
-
-    #[test]
-    fn normalized_collapses_textual_variants() {
-        let a = crate::parser::parse("SELECT SUM(clicks) FROM t WHERE a = 1 AND b = 2").unwrap();
-        let b = crate::parser::parse("select  sum(clicks)  from t where b = 2 and a = 1").unwrap();
-        assert_eq!(a.normalized(), b.normalized());
-
-        // Explicit defaults normalize with implicit ones.
-        let c = crate::parser::parse("SELECT COUNT(*) FROM t GROUP BY g TOP 10").unwrap();
-        let d = crate::parser::parse("SELECT COUNT(*) FROM t GROUP BY g").unwrap();
-        assert_eq!(c.normalized(), d.normalized());
-
-        // IN lists are order-insensitive.
-        let e = crate::parser::parse("SELECT COUNT(*) FROM t WHERE c IN ('x', 'y')").unwrap();
-        let f = crate::parser::parse("SELECT COUNT(*) FROM t WHERE c IN ('y', 'x')").unwrap();
-        assert_eq!(e.normalized(), f.normalized());
-    }
-
-    #[test]
-    fn normalized_separates_semantic_differences() {
-        let parse = crate::parser::parse;
-        let base = parse("SELECT COUNT(*) FROM t WHERE a = 1")
-            .unwrap()
-            .normalized();
-        for other in [
-            "SELECT COUNT(*) FROM t WHERE a = 2",
-            "SELECT COUNT(*) FROM t WHERE a != 1",
-            "SELECT COUNT(*) FROM t WHERE b = 1",
-            "SELECT SUM(a) FROM t WHERE a = 1",
-            "SELECT COUNT(*) FROM u WHERE a = 1",
-            "SELECT COUNT(*) FROM t WHERE a = 1 OR a = 1",
-            "SELECT COUNT(*) FROM t WHERE NOT a = 1",
-        ] {
-            assert_ne!(base, parse(other).unwrap().normalized(), "{other}");
-        }
-        // AND vs OR over the same children must not collide.
-        let and = parse("SELECT COUNT(*) FROM t WHERE a = 1 AND b = 2").unwrap();
-        let or = parse("SELECT COUNT(*) FROM t WHERE a = 1 OR b = 2").unwrap();
-        assert_ne!(and.normalized(), or.normalized());
     }
 
     #[test]

@@ -26,8 +26,8 @@ use pinot_common::{EngineConfig, PinotError, Result, RetryPolicy, Schema};
 use pinot_controller::ControllerGroup;
 use pinot_exec::segment_exec::{execute_on_segment_with, IntermediateResult, SegmentHandle};
 use pinot_exec::{
-    collected_profiles, explain_segment, merge_intermediate, plan_segment, CostModel, ExecOptions,
-    ParallelExec, PlanKind, Prunable, PruneEvaluator, PruneOutcome, SegmentExplain,
+    collected_profiles, explain_segment, merge_intermediate, CostModel, ExecOptions, ParallelExec,
+    PlannerMode, Prunable, PruneEvaluator, PruneOutcome, SegmentExplain,
 };
 use pinot_obs::Obs;
 use pinot_pql::{CmpOp, Predicate, Query};
@@ -1050,6 +1050,7 @@ impl Server {
             profile: req.profile,
             analyze: req.analyze,
             parallel: parallel.cloned(),
+            planner: PlannerMode::Auto,
         };
         let partial = execute_on_segment_with(&handle, query, &opts)?;
         self.obs.metrics.observe_ms(
@@ -1092,18 +1093,6 @@ impl Server {
                 out.push(e);
             }
             Ok(out)
-        })
-    }
-
-    /// Which plan kind this server would use for a query on one segment
-    /// (exposed for the Figure 13 harness and tests).
-    pub fn plan_for(&self, table: &str, segment: &str, query: &Query) -> Result<PlanKind> {
-        self.with_table(table, |state| {
-            let handle = state
-                .online
-                .get(segment)
-                .ok_or_else(|| PinotError::Segment(format!("{segment} not online")))?;
-            Ok(plan_segment(handle, query))
         })
     }
 

@@ -19,10 +19,11 @@
 //!   broker's scatter deadline; a queued task whose deadline has already
 //!   passed is abandoned without running (counted in
 //!   `taskpool.tasks_cancelled`), because nobody is waiting for it;
-//! * **deterministic single-thread mode** — a pool of one thread
-//!   (`EngineConfig::taskpool_threads`) gives one worker and strict FIFO
-//!   execution, so tests can compare the parallel path against a
-//!   deterministic schedule.
+//! * **single-thread mode** — a pool of one thread
+//!   (`EngineConfig::taskpool_threads`) gives one worker, which the
+//!   waiting scope owner helps, so task order is still unspecified;
+//!   results stay deterministic because callers merge per-task slots in
+//!   a fixed order, not because of the schedule.
 //!
 //! Waiting scopes *help*: while a scope has pending tasks the waiting
 //! thread executes pool work instead of blocking, which keeps nested
