@@ -25,6 +25,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== every test of every crate (unit, integration, proptests, doc) =="
 cargo test --workspace -q
 
+echo "== taskpool tests, 20 runs in a row (a scheduler race shows as a red run) =="
+for _ in $(seq 20); do
+    cargo test --release -p pinot-taskpool -q
+done
+
 echo "== tier-1 tests, deterministic single-thread pools =="
 PINOT_TASKPOOL_THREADS=1 cargo test -q
 

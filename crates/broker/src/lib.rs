@@ -15,6 +15,9 @@
 pub mod routing;
 pub mod survival;
 
+/// One server's share of a scattered query.
+pub use pinot_exec::ServerRequest as RoutedRequest;
+
 use crossbeam::channel::{bounded, RecvTimeoutError};
 use parking_lot::{Mutex, RwLock};
 use pinot_cluster::ClusterManager;
@@ -51,29 +54,6 @@ const HEDGE_MIN_SAMPLES: usize = 8;
 /// p99 estimate is tiny.
 const HEDGE_DELAY_FACTOR: f64 = 1.5;
 const HEDGE_FLOOR_MS: f64 = 5.0;
-
-/// One server's share of a scattered query.
-#[derive(Clone)]
-pub struct RoutedRequest {
-    pub table: String,
-    pub query: Arc<Query>,
-    pub segments: Vec<String>,
-    pub tenant: String,
-    /// The broker's scatter deadline. Servers check it between segments and
-    /// abandon work nobody will wait for; failover retries budget their
-    /// backoff against it.
-    pub deadline: Option<Instant>,
-    /// Broker-assigned query id (seeded, deterministic per broker); the
-    /// server echoes it in its partial's stats so stats, logs, and
-    /// profiles from every server join on one key.
-    pub query_id: u64,
-    /// Ask the server to collect a per-operator profile tree alongside the
-    /// partial result. Never changes the result payload or stats.
-    pub profile: bool,
-    /// With `profile`, also collect the per-conjunct access-path report
-    /// for `EXPLAIN ANALYZE`.
-    pub analyze: bool,
-}
 
 /// Per-query context threaded from the client request through scatter,
 /// failover, and merge.

@@ -18,7 +18,7 @@ use crate::{PinotError, Result};
 pub const MORSEL_GRID_DOCS: usize = 1024;
 
 /// Default morsel size: 64 decode blocks. Small enough that a 4M-doc
-/// segment yields ~61 morsels (good balance even with stealing), large
+/// segment yields ~61 morsels (good balance across workers), large
 /// enough that per-task overhead stays ≪ 1% of a morsel's scan time.
 pub const DEFAULT_MORSEL_DOCS: usize = 64 * MORSEL_GRID_DOCS;
 
@@ -40,9 +40,9 @@ pub fn clamp_morsel_docs(docs: usize) -> usize {
 pub struct EngineConfig {
     /// `PINOT_TASKPOOL_THREADS` — worker threads of every server and
     /// broker task pool, at least 1. Default: `available_parallelism`.
-    /// `1` gives one worker, which the waiting scope owner helps; task
+    /// `1` gives one worker, which a waiting `map` caller helps; task
     /// order is still unspecified, and results stay deterministic because
-    /// every merge is slot-ordered, not because of the schedule.
+    /// every merge is index-ordered, not because of the schedule.
     pub taskpool_threads: usize,
     /// `PINOT_EXEC_MORSEL_DOCS` — documents per morsel for intra-segment
     /// splitting, rounded to [`MORSEL_GRID_DOCS`]. Default

@@ -43,7 +43,7 @@ use pinot_objstore::{MemoryObjectStore, ObjectStoreRef};
 use pinot_obs::{MetricsSnapshot, Obs, QueryLogEntry};
 use pinot_segment::builder::{BuilderConfig, SegmentBuilder};
 use pinot_segment::metadata::PartitionInfo;
-use pinot_server::{Server, ServerRequest};
+use pinot_server::Server;
 use pinot_stream::StreamRegistry;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -157,16 +157,7 @@ struct ServerAdapter(Arc<Server>);
 
 impl SegmentQueryService for ServerAdapter {
     fn execute(&self, req: &RoutedRequest) -> Result<IntermediateResult> {
-        self.0.execute(&ServerRequest {
-            table: req.table.clone(),
-            query: Arc::clone(&req.query),
-            segments: req.segments.clone(),
-            tenant: req.tenant.clone(),
-            deadline: req.deadline,
-            query_id: req.query_id,
-            profile: req.profile,
-            analyze: req.analyze,
-        })
+        self.0.execute(req)
     }
 }
 

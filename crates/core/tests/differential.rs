@@ -582,8 +582,8 @@ fn planner_strategy_matrix_is_byte_identical() {
     use pinot_core::exec::{finalize, merge_intermediate, ExecOptions, ParallelExec, PlannerMode};
     use pinot_core::obs::Obs;
     use pinot_core::segment::builder::{BuilderConfig, SegmentBuilder};
-    use pinot_core::taskpool::TaskPool;
-    use std::sync::{Arc, Mutex};
+    use pinot_core::taskpool::{Deadline, TaskPool};
+    use std::sync::Arc;
 
     const SEED: u64 = 19;
     const CASES: usize = 40;
@@ -626,21 +626,12 @@ fn planner_strategy_matrix_is_byte_identical() {
             .iter()
             .map(|pql| {
                 let query = pinot_pql::parse(pql).unwrap();
-                let slots: Vec<Mutex<Option<pinot_common::Result<IntermediateResult>>>> =
-                    segments.iter().map(|_| Mutex::new(None)).collect();
-                pool.scope(|scope| {
-                    for (handle, slot) in segments.iter().zip(&slots) {
-                        let (query, opts) = (&query, &opts);
-                        scope.spawn(move || {
-                            *slot.lock().unwrap() =
-                                Some(execute_on_segment_with(handle, query, opts));
-                        });
-                    }
+                let partials = pool.map(&Deadline::none(), segments.len(), |i| {
+                    execute_on_segment_with(&segments[i], &query, &opts)
                 });
                 let mut acc = IntermediateResult::empty_for(&query);
-                let merged = slots.into_iter().try_for_each(|slot| {
-                    let partial = slot.into_inner().unwrap().expect("scope ran every task")?;
-                    merge_intermediate(&mut acc, partial)
+                let merged = partials.into_iter().try_for_each(|partial| {
+                    merge_intermediate(&mut acc, partial.expect("no deadline, so every task ran")?)
                 });
                 let stats = acc.stats.clone();
                 match merged.and_then(|()| finalize(acc, &query)) {

@@ -14,7 +14,7 @@ use pinot_common::query::{QueryRequest, QueryResult};
 use pinot_common::{DataType, FieldSpec, Record, Result, Schema, TimeUnit, Value};
 use pinot_core::broker::{RoutedRequest, SegmentQueryService};
 use pinot_core::exec::IntermediateResult;
-use pinot_core::server::{Server, ServerRequest};
+use pinot_core::server::Server;
 use pinot_core::{ClusterConfig, PinotCluster};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -76,16 +76,7 @@ impl SegmentQueryService for SlowOnceService {
         {
             std::thread::sleep(self.delay);
         }
-        self.server.execute(&ServerRequest {
-            table: req.table.clone(),
-            query: Arc::clone(&req.query),
-            segments: req.segments.clone(),
-            tenant: req.tenant.clone(),
-            deadline: req.deadline,
-            query_id: req.query_id,
-            profile: req.profile,
-            analyze: req.analyze,
-        })
+        self.server.execute(req)
     }
 }
 

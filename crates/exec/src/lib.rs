@@ -45,6 +45,6 @@ pub use prune::{
     ColumnRange, Prunable, PruneEvaluator, PruneLevel, PruneOutcome, PruneStatsSource, ZoneMapStats,
 };
 pub use segment_exec::{
-    execute_on_segment, execute_on_segment_with, IntermediateResult, SegmentHandle,
+    execute_on_segment, execute_on_segment_with, IntermediateResult, SegmentHandle, ServerRequest,
 };
 pub use selection::{DocBlock, DocSelection, IdMatcher};

@@ -12,10 +12,11 @@
 //! Execution then has two *byte-identical* schedules:
 //!
 //! * **inline** — the caller thread folds the morsels in index order;
-//! * **fan-out** — each morsel becomes a pool task writing into its own
-//!   slot (`slots[i]` for morsel `i`), and the caller merges the slots in
-//!   ascending morsel index with the commutative/associative partial
-//!   merge proven by the PR 6 fold-algebra proptests.
+//! * **fan-out** — each morsel becomes a task of one
+//!   [`TaskPool::map`], which hands the partials back in morsel order,
+//!   and the caller merges them in ascending morsel index with the
+//!   commutative/associative partial merge proven by the fold-algebra
+//!   proptests.
 //!
 //! Because both schedules produce the same per-morsel partials and merge
 //! them in the same fixed order, the cost gate choosing between them is
@@ -31,7 +32,7 @@ use pinot_chaos::{sites, FaultAction, FaultContext, FaultInjector};
 use pinot_common::{PinotError, Result};
 use pinot_obs::Obs;
 use pinot_segment::DocId;
-use pinot_taskpool::{Deadline, TaskPool, WorkerSlots};
+use pinot_taskpool::{Deadline, TaskPool};
 use std::sync::Arc;
 
 pub use pinot_common::engine::{clamp_morsel_docs, DEFAULT_FANOUT_NS};
@@ -204,22 +205,28 @@ pub(crate) struct MorselPartial<P> {
     pub docs: u64,
 }
 
-/// Integer scan counters accumulated into per-worker slots on the
-/// fan-out path ([`WorkerSlots`]): commutative, so slot order is enough
-/// for determinism.
-#[derive(Default, Clone, Copy)]
-pub(crate) struct ScanCounters {
-    pub entries: u64,
-    pub blocks: u64,
-    pub docs: u64,
-    pub stolen: u64,
+/// Fold one morsel's partial into the running accumulator.
+fn absorb<P>(
+    acc: &mut Option<MorselPartial<P>>,
+    part: MorselPartial<P>,
+    merge: &mut impl FnMut(&mut P, P) -> Result<()>,
+) -> Result<()> {
+    match acc {
+        None => *acc = Some(part),
+        Some(acc) => {
+            merge(&mut acc.payload, part.payload)?;
+            acc.entries += part.entries;
+            acc.blocks += part.blocks;
+            acc.docs += part.docs;
+        }
+    }
+    Ok(())
 }
 
 /// Execute `morsels` with `run` (one call per morsel, in any order) and
-/// merge the partial payloads **in ascending morsel index** with
-/// `merge`. Chooses inline vs fan-out via the cost gate; both schedules
-/// are byte-identical by construction. Returns the merged payload plus
-/// summed counters.
+/// merge the partials **in ascending morsel index** with `merge`. Chooses
+/// inline vs fan-out via the cost gate; both schedules are byte-identical
+/// by construction. Returns the merged payload plus summed counters.
 pub(crate) fn execute_morsels<P, F, M>(
     morsels: &[DocSelection],
     scan_docs: u64,
@@ -239,6 +246,7 @@ where
         .parallel
         .as_ref()
         .filter(|p| p.cost.should_fan_out(scan_docs, cols_touched));
+    let mut acc = None;
 
     let Some(par) = fan_out else {
         // Below the gate (or no pool): fold on the caller thread, zero
@@ -246,120 +254,51 @@ where
         if let Some(obs) = obs {
             obs.metrics.counter_add("exec.morsels_inline", 1);
         }
-        let mut iter = morsels.iter();
-        let mut acc = run(iter.next().expect("at least two morsels"));
-        for m in iter {
-            let part = run(m);
-            merge(&mut acc.payload, part.payload)?;
-            acc.entries += part.entries;
-            acc.blocks += part.blocks;
-            acc.docs += part.docs;
+        for m in morsels {
+            absorb(&mut acc, run(m), &mut merge)?;
         }
-        return Ok(acc);
+        return Ok(acc.expect("at least two morsels"));
     };
 
     if let Some(obs) = obs {
         obs.metrics
             .counter_add("exec.morsels_split", morsels.len() as u64);
     }
-    let threads = par.pool.threads();
-    let slots: Vec<std::sync::Mutex<Option<Result<P>>>> = morsels
-        .iter()
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    let counters: WorkerSlots<ScanCounters> = WorkerSlots::new(&par.pool);
-    par.pool.scope(|scope| {
-        let jobs: Vec<_> = morsels
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                let slot = &slots[i];
-                let counters = &counters;
-                let par = &par;
-                let run = &run;
-                let home = i % threads;
-                move || {
-                    if let Some((injector, ctx)) = &par.chaos {
-                        if let Some(action) = injector.intercept(sites::EXEC_MORSEL, ctx) {
-                            match action {
-                                FaultAction::Fail(e) => {
-                                    *slot.lock().unwrap() = Some(Err(e));
-                                    return;
-                                }
-                                FaultAction::Crash => {
-                                    // A morsel cannot unregister a server;
-                                    // Crash degrades to a failed scan.
-                                    *slot.lock().unwrap() = Some(Err(PinotError::Io(
-                                        "morsel crashed (injected)".into(),
-                                    )));
-                                    return;
-                                }
-                                FaultAction::Delay(ms) => {
-                                    std::thread::sleep(std::time::Duration::from_millis(ms))
-                                }
-                            }
-                        }
-                    }
-                    let part = run(m);
-                    counters.with(|c| {
-                        c.entries += part.entries;
-                        c.blocks += part.blocks;
-                        c.docs += part.docs;
-                        if TaskPool::current_worker() != Some(home) {
-                            c.stolen += 1;
-                        }
-                    });
-                    *slot.lock().unwrap() = Some(Ok(part.payload));
+    let parts = par.pool.map(&par.deadline, morsels.len(), |i| {
+        if let Some((injector, ctx)) = &par.chaos {
+            match injector.intercept(sites::EXEC_MORSEL, ctx) {
+                Some(FaultAction::Fail(e)) => return Err(e),
+                // A morsel cannot unregister a server; Crash degrades to
+                // a failed scan.
+                Some(FaultAction::Crash) => {
+                    return Err(PinotError::Io("morsel crashed (injected)".into()))
                 }
-            })
-            .collect();
-        scope.spawn_batch_with_deadline(&par.deadline, jobs);
-    });
-
-    // Merge in fixed morsel order; per-worker counter slots merge in
-    // fixed slot order (both deterministic — the counters are integers
-    // and the payload merge is the proven fold algebra).
-    let mut merged: Option<P> = None;
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner().unwrap() {
-            Some(Ok(payload)) => match &mut merged {
-                None => merged = Some(payload),
-                Some(acc) => merge(acc, payload)?,
-            },
-            Some(Err(e)) => return Err(e),
-            None => {
-                // The pool abandoned this morsel: the scatter deadline
-                // passed while it was queued. Nothing half-executed is
-                // merged — the whole segment fails.
-                if let Some(obs) = obs {
-                    obs.metrics.counter_add("server.exec.deadline_abandoned", 1);
+                Some(FaultAction::Delay(ms)) => {
+                    std::thread::sleep(std::time::Duration::from_millis(ms))
                 }
-                return Err(PinotError::Timeout(format!(
-                    "query deadline elapsed before morsel {i} of {}",
-                    morsels.len()
-                )));
+                None => {}
             }
         }
+        Ok(run(&morsels[i]))
+    });
+    // Merge in fixed morsel order: deterministic, because the counters are
+    // integers and the payload merge is the proven fold algebra.
+    for (i, part) in parts.into_iter().enumerate() {
+        let Some(part) = part else {
+            // The pool abandoned this morsel: the scatter deadline passed
+            // while it was queued. Nothing half-executed is merged — the
+            // whole segment fails.
+            if let Some(obs) = obs {
+                obs.metrics.counter_add("server.exec.deadline_abandoned", 1);
+            }
+            return Err(PinotError::Timeout(format!(
+                "query deadline elapsed before morsel {i} of {}",
+                morsels.len()
+            )));
+        };
+        absorb(&mut acc, part?, &mut merge)?;
     }
-    let mut acc = MorselPartial {
-        payload: merged.expect("non-empty morsel list"),
-        entries: 0,
-        blocks: 0,
-        docs: 0,
-    };
-    let mut stolen = 0;
-    for c in counters.into_slots() {
-        acc.entries += c.entries;
-        acc.blocks += c.blocks;
-        acc.docs += c.docs;
-        stolen += c.stolen;
-    }
-    if let Some(obs) = obs {
-        if stolen > 0 {
-            obs.metrics.counter_add("exec.morsels_stolen", stolen);
-        }
-    }
-    Ok(acc)
+    Ok(acc.expect("non-empty morsel list"))
 }
 
 #[cfg(test)]

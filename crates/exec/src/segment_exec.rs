@@ -91,6 +91,31 @@ impl IntermediateResult {
     }
 }
 
+/// A broker's request to one server: run `query` over this server's share
+/// of the routing table (§3.3.3 step 3). The server answers with one
+/// [`IntermediateResult`].
+#[derive(Clone)]
+pub struct ServerRequest {
+    pub table: String,
+    pub query: Arc<Query>,
+    pub segments: Vec<String>,
+    pub tenant: String,
+    /// The broker's scatter deadline. Servers check it between segments and
+    /// abandon work nobody will wait for; failover retries budget their
+    /// backoff against it.
+    pub deadline: Option<std::time::Instant>,
+    /// Broker-assigned query id (seeded, deterministic per broker), echoed
+    /// back in the partial's stats so stats, logs, and profiles from every
+    /// server join on one key.
+    pub query_id: u64,
+    /// Collect a per-operator profile tree alongside the partial result.
+    /// Never changes the result payload or stats.
+    pub profile: bool,
+    /// With `profile`, also collect the per-conjunct access-path report
+    /// for `EXPLAIN ANALYZE`.
+    pub analyze: bool,
+}
+
 /// Execute a query on one segment with default options
 /// ([`pinot_common::EngineConfig::default`]: auto planner).
 pub fn execute_on_segment(handle: &SegmentHandle, query: &Query) -> Result<IntermediateResult> {

@@ -257,7 +257,12 @@ impl MetricsRegistry {
     /// Set the named gauge to its latest value.
     pub fn gauge_set(&self, name: &str, value: i64) {
         let mut shard = self.shard(name).lock();
-        shard.gauges.insert(name.to_string(), value);
+        match shard.gauges.get_mut(name) {
+            Some(v) => *v = value,
+            None => {
+                shard.gauges.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Record one observation into the named latency histogram

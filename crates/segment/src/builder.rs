@@ -9,6 +9,7 @@ use crate::segment::ImmutableSegment;
 use crate::sorted_index::SortedIndex;
 use crate::DictId;
 use pinot_common::{FieldSpec, PinotError, Record, Result, Schema, Value};
+use pinot_taskpool::{Deadline, TaskPool};
 
 /// Options controlling segment construction.
 #[derive(Debug, Clone)]
@@ -130,10 +131,7 @@ impl SegmentBuilder {
     /// Like [`build`](SegmentBuilder::build), but fans per-column
     /// dictionary/index construction out as tasks on `pool`. Column order in
     /// the finished segment is schema order regardless of completion order.
-    pub fn build_with_pool(
-        self,
-        pool: Option<&pinot_taskpool::TaskPool>,
-    ) -> Result<ImmutableSegment> {
+    pub fn build_with_pool(self, pool: Option<&TaskPool>) -> Result<ImmutableSegment> {
         let SegmentBuilder {
             schema,
             config,
@@ -162,22 +160,13 @@ impl SegmentBuilder {
         //    when a pool is supplied.
         let num_docs = rows.len();
         let columns: Vec<ColumnData> = match pool {
-            Some(pool) => {
-                let slots: Vec<parking_lot::Mutex<Option<Result<ColumnData>>>> =
-                    schema.fields().iter().map(|_| Default::default()).collect();
-                pool.scope(|scope| {
-                    for (ci, spec) in schema.fields().iter().enumerate() {
-                        let (slot, rows, config) = (&slots[ci], &rows, &config);
-                        scope.spawn(move || {
-                            *slot.lock() = Some(build_column(rows, ci, spec, config, num_docs));
-                        });
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|s| s.into_inner().expect("scope joined every column task"))
-                    .collect::<Result<_>>()?
-            }
+            Some(pool) => pool
+                .map(&Deadline::none(), schema.fields().len(), |ci| {
+                    build_column(&rows, ci, &schema.fields()[ci], &config, num_docs)
+                })
+                .into_iter()
+                .map(|column| column.expect("no deadline, so every column task ran"))
+                .collect::<Result<_>>()?,
             None => schema
                 .fields()
                 .iter()

@@ -26,6 +26,7 @@ use crate::segment::ImmutableSegment;
 use crate::sorted_index::SortedIndex;
 use crate::DictId;
 use pinot_common::{DataType, FieldSpec, PinotError, Result, Schema, Value};
+use pinot_taskpool::{Deadline, TaskPool};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -492,7 +493,7 @@ pub(crate) fn seal_from_columnar(
     config: &BuilderConfig,
     inputs: Vec<SealInput>,
     num_docs: usize,
-    pool: Option<&pinot_taskpool::TaskPool>,
+    pool: Option<&TaskPool>,
 ) -> Result<ImmutableSegment> {
     validate_config(schema, config)?;
 
@@ -523,22 +524,13 @@ pub(crate) fn seal_from_columnar(
     };
 
     let columns: Vec<ColumnData> = match pool {
-        Some(pool) => {
-            let slots: Vec<parking_lot::Mutex<Option<ColumnData>>> =
-                inputs.iter().map(|_| Default::default()).collect();
-            pool.scope(|scope| {
-                for (ci, input) in inputs.iter().enumerate() {
-                    let (slot, perm) = (&slots[ci], &perm);
-                    scope.spawn(move || {
-                        *slot.lock() = Some(seal_column(input, perm.as_deref(), config, num_docs));
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.into_inner().expect("scope joined every column task"))
-                .collect()
-        }
+        Some(pool) => pool
+            .map(&Deadline::none(), inputs.len(), |ci| {
+                seal_column(&inputs[ci], perm.as_deref(), config, num_docs)
+            })
+            .into_iter()
+            .map(|column| column.expect("no deadline, so every column task ran"))
+            .collect(),
         None => inputs
             .iter()
             .map(|input| seal_column(input, perm.as_deref(), config, num_docs))

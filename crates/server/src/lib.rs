@@ -13,6 +13,8 @@
 
 pub mod tenancy;
 
+pub use pinot_exec::ServerRequest;
+
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use pinot_chaos::{sites, FaultAction, FaultContext, FaultInjector};
@@ -94,9 +96,9 @@ pub struct Server {
     retry: RetryPolicy,
     /// The cluster's engine configuration, resolved once at boot.
     config: Arc<EngineConfig>,
-    /// Work-stealing pool for per-segment query execution, partition
-    /// consumption and segment sealing (§3.3.4), sized by
-    /// `config.taskpool_threads`.
+    /// The pool for per-segment query execution, partition consumption
+    /// and segment sealing (§3.3.4): one FIFO queue served by
+    /// `config.taskpool_threads` workers.
     pool: Arc<TaskPool>,
     /// Calibrated per-doc scan cost feeding the fan-out gate, refreshed
     /// from the `exec.scan_ns_per_doc` histogram every
@@ -110,28 +112,6 @@ pub struct Server {
 /// How often (in requests) the cost model re-reads the measured
 /// `exec.scan_ns_per_doc` histogram mean.
 const CALIBRATE_EVERY: u64 = 64;
-
-/// A broker's request to one server: run `query` over this server's share
-/// of the routing table (§3.3.3 step 3).
-#[derive(Clone)]
-pub struct ServerRequest {
-    pub table: String,
-    pub query: Arc<Query>,
-    pub segments: Vec<String>,
-    pub tenant: String,
-    /// The broker's scatter deadline; segment execution stops once it has
-    /// elapsed — nobody is waiting for the rest.
-    pub deadline: Option<std::time::Instant>,
-    /// Broker-assigned query id, echoed back in the partial's stats so
-    /// stats, logs, and profiles from every server join on one key.
-    pub query_id: u64,
-    /// Collect a per-operator profile tree alongside the partial result.
-    /// Never changes the result payload or stats.
-    pub profile: bool,
-    /// With `profile`, also collect the per-conjunct access-path report
-    /// for `EXPLAIN ANALYZE`.
-    pub analyze: bool,
-}
 
 impl Server {
     pub fn new(
@@ -450,23 +430,14 @@ impl Server {
         // order; a lone segment skips the pool.
         let started = std::time::Instant::now();
         let ingested = if work.len() > 1 {
-            let slots: Vec<Mutex<Option<Result<usize>>>> =
-                work.iter().map(|_| Default::default()).collect();
-            self.pool.scope(|scope| {
-                for ((qualified, segment, consuming), slot) in work.iter().zip(&slots) {
-                    scope.spawn(move || {
-                        *slot.lock() =
-                            Some(self.tick_segment(qualified, segment, consuming, paused));
-                    });
-                }
-            });
-            let mut total = 0usize;
-            for slot in slots {
-                total += slot
-                    .into_inner()
-                    .expect("scope joined every partition task")?;
-            }
-            total
+            self.pool
+                .map(&Deadline::none(), work.len(), |i| {
+                    let (qualified, segment, consuming) = &work[i];
+                    self.tick_segment(qualified, segment, consuming, paused)
+                })
+                .into_iter()
+                .map(|ticked| ticked.expect("no deadline, so every partition task ran"))
+                .sum::<Result<usize>>()?
         } else {
             let (qualified, segment, consuming) = &work[0];
             self.tick_segment(qualified, segment, consuming, paused)?
@@ -714,7 +685,7 @@ impl Server {
         })?;
         // Column/index builds for the completing segment run as pool tasks
         // (the stream path's share of the execution pool). This must happen
-        // OUTSIDE `with_table`: the nested scope's help-while-wait can pick
+        // OUTSIDE `with_table`: the nested map's help-while-wait can pick
         // up another consuming segment's tick task, and if that task
         // completes it takes `tables.write()` on this very thread — a
         // self-deadlock if we were still holding the read lock here.
@@ -806,14 +777,13 @@ impl Server {
                 }
             } else {
                 // Fan every segment's physical plan out as a pool task
-                // (§3.3.4, Figure 7): the pool runs them across cores, each
-                // task writing its partial into a per-segment slot. Large
-                // segments morselize further inside `execute_segment` via
-                // the same pool (nested scopes help while they wait, so
-                // this cannot deadlock). Merging happens afterwards in
-                // segment order, so the merged result is byte-identical no
-                // matter how many workers the pool has or which of them ran
-                // which task.
+                // (§3.3.4, Figure 7): the pool runs them across cores and
+                // hands the partials back in segment order. Large segments
+                // morselize further inside `execute_segment` via the same
+                // pool (a waiting `map` helps, so this cannot deadlock).
+                // Merging in segment order makes the merged result
+                // byte-identical no matter how many workers the pool has or
+                // which of them ran which task.
                 let pool = &self.pool;
                 let parallel = ParallelExec::new(Arc::clone(pool))
                     .with_deadline(deadline.clone())
@@ -824,41 +794,22 @@ impl Server {
                             .instance(self.id.to_string())
                             .table(req.table.clone()),
                     );
-                let slots: Vec<Mutex<Option<Result<IntermediateResult>>>> =
-                    req.segments.iter().map(|_| Mutex::new(None)).collect();
-                pool.scope(|scope| {
-                    for (i, seg_name) in req.segments.iter().enumerate() {
-                        let slot = &slots[i];
-                        let evaluator = &evaluator;
-                        let parallel = &parallel;
-                        // Tasks queued past the broker's scatter deadline are
-                        // abandoned by the pool: nobody is waiting for them.
-                        scope.spawn_with_deadline(&deadline, move || {
-                            *slot.lock() = Some(self.execute_segment(
-                                req,
-                                seg_name,
-                                evaluator,
-                                Some(parallel),
-                            ));
-                        });
-                    }
+                // Tasks still queued past the broker's scatter deadline
+                // are abandoned by the pool: nobody is waiting for them.
+                let partials = pool.map(&deadline, req.segments.len(), |i| {
+                    self.execute_segment(req, &req.segments[i], &evaluator, Some(&parallel))
                 });
-                for (i, slot) in slots.into_iter().enumerate() {
-                    match slot.into_inner() {
-                        Some(Ok(partial)) => merge_intermediate(&mut acc, partial)?,
-                        Some(Err(e)) => return Err(e),
-                        None => {
-                            // The pool abandoned this task: the scatter deadline
-                            // passed while it was still queued.
-                            self.obs
-                                .metrics
-                                .counter_add("server.exec.deadline_abandoned", 1);
-                            return Err(PinotError::Timeout(format!(
-                                "{}: query deadline elapsed before segment {}",
-                                self.id, req.segments[i]
-                            )));
-                        }
-                    }
+                for (seg_name, partial) in req.segments.iter().zip(partials) {
+                    let Some(partial) = partial else {
+                        self.obs
+                            .metrics
+                            .counter_add("server.exec.deadline_abandoned", 1);
+                        return Err(PinotError::Timeout(format!(
+                            "{}: query deadline elapsed before segment {seg_name}",
+                            self.id
+                        )));
+                    };
+                    merge_intermediate(&mut acc, partial?)?;
                 }
             }
         }

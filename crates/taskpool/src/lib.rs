@@ -2,57 +2,50 @@
 //!
 //! The paper's servers run the per-segment physical plans of one query in
 //! parallel across cores and combine partial results before answering the
-//! broker. This crate supplies that parallelism as a from-scratch
-//! work-stealing pool:
+//! broker. This crate supplies that parallelism as one small pool: a fixed
+//! set of worker threads popping a single FIFO queue.
 //!
-//! * **per-worker deques + a global injector** — external submissions land
-//!   in the injector; each worker drains a small batch into its own deque,
-//!   pops its deque FIFO, and steals from the *back* of a sibling's deque
-//!   when both are empty;
-//! * **scoped joins** — [`TaskPool::scope`] lets tasks borrow stack data
-//!   (segment lists, result slots) and guarantees every spawned task has
-//!   finished before the scope returns, even on panic;
-//! * **panic capture and propagation** — a panicking task is caught on the
-//!   worker, recorded, and re-thrown from the scope owner's thread, so a
-//!   bug in one segment plan cannot take down an unrelated worker;
+//! * **one locked queue** — a `Mutex` guards the queued jobs and the
+//!   shutdown flag, and one `Condvar` wakes whoever waits on it. Every
+//!   queue check and every wait happen under that mutex, so no wait has a
+//!   timeout: a wake-up cannot be missed.
+//! * **fork-join [`TaskPool::map`]** — runs `f(0..n)` as tasks that may
+//!   borrow the caller's stack and returns their results in index order.
+//!   The caller *helps* while it waits: it pops and runs queued jobs
+//!   (anyone's), which keeps nested maps on one pool deadlock-free.
+//! * **panic capture** — a panicking task is caught where it runs. `map`
+//!   re-throws the first panic on its caller once every task has finished;
+//!   a detached task's panic is swallowed and counted.
 //! * **cooperative deadline cancellation** — [`Deadline`] carries the
-//!   broker's scatter deadline; a queued task whose deadline has already
-//!   passed is abandoned without running (counted in
-//!   `taskpool.tasks_cancelled`), because nobody is waiting for it;
-//! * **single-thread mode** — a pool of one thread
-//!   (`EngineConfig::taskpool_threads`) gives one worker, which the
-//!   waiting scope owner helps, so task order is still unspecified;
-//!   results stay deterministic because callers merge per-task slots in
-//!   a fixed order, not because of the schedule.
+//!   broker's scatter deadline; a task whose deadline has passed when it is
+//!   popped is abandoned without running (counted in
+//!   `taskpool.tasks_cancelled`), because nobody is waiting for it.
 //!
-//! Waiting scopes *help*: while a scope has pending tasks the waiting
-//! thread executes pool work instead of blocking, which keeps nested
-//! scopes on the same pool deadlock-free and makes the 1-thread mode run
-//! mostly on the caller's own thread.
+//! Task order is not specified, even with one thread: the worker and a
+//! helping caller both pop. Results stay deterministic because `map`
+//! returns them in index order and callers merge them in that order.
+//!
+//! Workers start on the first submission, so a pool that never runs a task
+//! owns no thread. Dropping the pool lets the workers drain the queue and
+//! joins them.
 //!
 //! Metrics (when constructed with an [`Obs`] sink): `taskpool.tasks_run`,
-//! `taskpool.tasks_stolen`, `taskpool.tasks_cancelled`,
-//! `taskpool.task_panics` counters and the `taskpool.queue_depth` gauge.
+//! `taskpool.tasks_cancelled`, `taskpool.task_panics` counters and the
+//! `taskpool.queue_depth` gauge (tasks queued and not yet started).
 
-use parking_lot::Mutex;
 use pinot_obs::Obs;
+use std::any::Any;
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::time::{Duration, Instant};
-
-/// How many extra jobs a worker moves from the injector into its own deque
-/// per refill, beyond the one it runs immediately. Small enough that idle
-/// siblings still find injector work, large enough that deques see use.
-const REFILL_BATCH: usize = 3;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A cooperative cancellation token carrying the broker's scatter deadline
-/// (threaded through `RoutedRequest` since PR 2). Queued tasks spawned via
-/// [`Scope::spawn_with_deadline`] are abandoned once it expires.
+/// A cooperative cancellation token carrying the broker's scatter deadline.
+/// Tasks still queued when it expires are abandoned.
 #[derive(Clone, Debug, Default)]
 pub struct Deadline(Option<Instant>);
 
@@ -70,230 +63,137 @@ impl Deadline {
     pub fn expired(&self) -> bool {
         matches!(self.0, Some(d) if Instant::now() >= d)
     }
-
-    /// Time left, if a deadline is set and not yet passed.
-    pub fn remaining(&self) -> Option<Duration> {
-        self.0.map(|d| d.saturating_duration_since(Instant::now()))
-    }
-
-    pub fn instant(&self) -> Option<Instant> {
-        self.0
-    }
 }
 
-struct WorkerState {
-    deque: Mutex<VecDeque<Job>>,
+/// Lock `m`, ignoring poison: every critical section here is a few field
+/// updates that leave the data consistent even if a panic interrupted it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-struct PoolShared {
-    injector: Mutex<VecDeque<Job>>,
-    workers: Vec<WorkerState>,
-    /// Park/wake coordination for idle workers (std pair: the parking_lot
-    /// shim deliberately has no Condvar).
-    sleep_lock: StdMutex<()>,
-    wakeup: Condvar,
-    shutdown: AtomicBool,
-    /// Jobs submitted but not yet started (injector + deques).
-    queued: AtomicI64,
+struct Queue {
+    jobs: VecDeque<Job>,
+    shutdown: bool,
+}
+
+struct Shared {
+    queue: Mutex<Queue>,
+    /// Signalled when jobs are queued, when a `map`'s last task finishes
+    /// and at shutdown. Idle workers and helping `map` callers wait on it.
+    wake: Condvar,
     tasks_run: AtomicU64,
-    tasks_stolen: AtomicU64,
     tasks_cancelled: AtomicU64,
     task_panics: AtomicU64,
     obs: Option<Arc<Obs>>,
 }
 
-impl PoolShared {
-    fn record_queue_depth(&self) {
+impl Shared {
+    fn push(&self, jobs: impl IntoIterator<Item = Job>) {
+        let mut q = lock(&self.queue);
+        let before = q.jobs.len();
+        q.jobs.extend(jobs);
+        let added = q.jobs.len() - before;
+        self.record_depth(&q);
+        drop(q);
+        if added == 1 {
+            self.wake.notify_one();
+        } else {
+            self.wake.notify_all();
+        }
+    }
+
+    fn pop(&self, q: &mut Queue) -> Option<Job> {
+        let job = q.jobs.pop_front()?;
+        self.record_depth(q);
+        Some(job)
+    }
+
+    /// Set under the queue lock, so the gauge's last value is the real depth.
+    fn record_depth(&self, q: &Queue) {
         if let Some(obs) = &self.obs {
             obs.metrics
-                .gauge_set("taskpool.queue_depth", self.queued.load(Ordering::Relaxed));
+                .gauge_set("taskpool.queue_depth", q.jobs.len() as i64);
         }
     }
 
-    fn push(&self, job: Job) {
-        self.injector.lock().push_back(job);
-        self.queued.fetch_add(1, Ordering::Relaxed);
-        self.record_queue_depth();
-        let _guard = self.sleep_lock.lock().unwrap();
-        self.wakeup.notify_one();
-    }
-
-    /// Enqueue a whole batch at once, dealing job `i` onto worker
-    /// `i % threads`'s deque round-robin (the morsel path: one lock per
-    /// worker instead of one injector lock per job) and waking every
-    /// worker with a single notify.
-    fn push_batch(&self, jobs: Vec<Job>) {
-        let n = jobs.len();
-        let workers = self.workers.len();
-        let mut per_worker: Vec<VecDeque<Job>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (i, job) in jobs.into_iter().enumerate() {
-            per_worker[i % workers].push_back(job);
-        }
-        for (w, batch) in per_worker.into_iter().enumerate() {
-            if !batch.is_empty() {
-                self.workers[w].deque.lock().extend(batch);
-            }
-        }
-        self.queued.fetch_add(n as i64, Ordering::Relaxed);
-        self.record_queue_depth();
-        let _guard = self.sleep_lock.lock().unwrap();
-        self.wakeup.notify_all();
-    }
-
-    /// Pop work as worker `idx`: own deque first, then an injector refill,
-    /// then steal from a sibling's back.
-    fn pop_for_worker(&self, idx: usize) -> Option<Job> {
-        if let Some(job) = self.workers[idx].deque.lock().pop_front() {
-            return Some(job);
-        }
-        {
-            let mut injector = self.injector.lock();
-            if let Some(job) = injector.pop_front() {
-                let mut local = self.workers[idx].deque.lock();
-                for _ in 0..REFILL_BATCH {
-                    match injector.pop_front() {
-                        Some(extra) => local.push_back(extra),
-                        None => break,
-                    }
-                }
-                return Some(job);
-            }
-        }
-        self.steal(idx)
-    }
-
-    fn steal(&self, idx: usize) -> Option<Job> {
-        let n = self.workers.len();
-        for off in 1..n {
-            let victim = (idx + off) % n;
-            if let Some(job) = self.workers[victim].deque.lock().pop_back() {
-                self.tasks_stolen.fetch_add(1, Ordering::Relaxed);
-                if let Some(obs) = &self.obs {
-                    obs.metrics.counter_add("taskpool.tasks_stolen", 1);
-                }
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// Pop work as an outsider (a thread helping while it waits on a
-    /// scope): injector first, then any worker's deque.
-    fn pop_any(&self) -> Option<Job> {
-        if let Some(job) = self.injector.lock().pop_front() {
-            return Some(job);
-        }
-        for w in &self.workers {
-            if let Some(job) = w.deque.lock().pop_back() {
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    fn run_job(&self, job: Job) {
-        self.queued.fetch_sub(1, Ordering::Relaxed);
-        self.record_queue_depth();
-        job();
-    }
-
-    /// Called by each task closure once its outcome (result, panic, or
-    /// cancellation) is fully recorded, *before* it signals scope
-    /// completion — a scope waiter that wakes on `complete_one` must see
-    /// every counter already settled.
-    fn note_run(&self) {
-        self.tasks_run.fetch_add(1, Ordering::Relaxed);
+    fn count(&self, counter: &AtomicU64, name: &str) {
+        counter.fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = &self.obs {
-            obs.metrics.counter_add("taskpool.tasks_run", 1);
+            obs.metrics.counter_add(name, 1);
         }
     }
 
-    fn note_cancelled(&self) {
-        self.tasks_cancelled.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.metrics.counter_add("taskpool.tasks_cancelled", 1);
+    /// Run a task body with its panic caught, or abandon it (`None`) when
+    /// `deadline` has passed.
+    fn run<R>(&self, deadline: &Deadline, f: impl FnOnce() -> R) -> Option<std::thread::Result<R>> {
+        if deadline.expired() {
+            self.count(&self.tasks_cancelled, "taskpool.tasks_cancelled");
+            return None;
         }
-    }
-
-    fn note_panic(&self) {
-        self.task_panics.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.metrics.counter_add("taskpool.task_panics", 1);
-        }
+        Some(panic::catch_unwind(AssertUnwindSafe(f)))
     }
 }
 
-std::thread_local! {
-    /// Index of the pool worker running on this thread, `None` on
-    /// non-worker threads (including scope owners helping while they
-    /// wait). Lets morsel tasks attribute work migration: a task that
-    /// runs off its home worker was stolen or helped.
-    static WORKER_INDEX: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
-}
-
-fn worker_loop(shared: Arc<PoolShared>, idx: usize) {
-    WORKER_INDEX.with(|w| w.set(Some(idx)));
+fn worker_loop(shared: Arc<Shared>) {
+    let mut q = lock(&shared.queue);
     loop {
-        if let Some(job) = shared.pop_for_worker(idx) {
-            shared.run_job(job);
-            continue;
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if let Some(job) = shared.pop(&mut q) {
+            drop(q);
+            job();
+            q = lock(&shared.queue);
+        } else if q.shutdown {
             return;
+        } else {
+            q = shared.wake.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
-        let guard = shared.sleep_lock.lock().unwrap();
-        if shared.queued.load(Ordering::Relaxed) > 0 || shared.shutdown.load(Ordering::SeqCst) {
-            continue;
-        }
-        // Pushes bump `queued` before taking `sleep_lock` to notify, and
-        // the re-check above runs under that lock, so a parked worker
-        // cannot miss a wakeup; the timeout is only a safety net. It is
-        // deliberately long: each expiry is a spurious wakeup, and on a
-        // box with fewer cores than pool workers those preempt whatever
-        // is actually running — idle workers must cost nothing.
-        let _ = shared
-            .wakeup
-            .wait_timeout(guard, Duration::from_millis(200))
-            .unwrap();
     }
 }
 
-/// The work-stealing pool. One per server (its cores) and one per broker
-/// (its scatter fan-out).
+/// Results of one [`TaskPool::map`] call. Shared by its tasks through an
+/// `Arc`, so a task that has just finished the last slot can still signal
+/// after the caller has taken the results and returned.
+struct MapSlots<T> {
+    results: Vec<Mutex<Option<T>>>,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    pending: AtomicUsize,
+}
+
+/// Extend a job's lifetime to `'static` so it can sit in the queue.
+///
+/// # Safety
+/// The caller must not let anything `job` borrows go out of scope until
+/// `job` has run and returned.
+unsafe fn erase<'a>(job: Box<dyn FnOnce() + Send + 'a>) -> Job {
+    // SAFETY: only the lifetime changes; the caller keeps the borrows live.
+    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'a>, Job>(job) }
+}
+
+/// The execution pool. One per server (its cores) and one per broker (its
+/// scatter fan-out).
 pub struct TaskPool {
-    shared: Arc<PoolShared>,
+    shared: Arc<Shared>,
     threads: usize,
-    started: AtomicBool,
-    start_lock: StdMutex<()>,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Worker handles, spawned on the first submission.
+    workers: OnceLock<Vec<JoinHandle<()>>>,
 }
 
 impl TaskPool {
     /// Pool with an explicit worker count (≥ 1).
     pub fn with_threads(threads: usize, obs: Option<Arc<Obs>>) -> TaskPool {
-        let threads = threads.max(1);
         TaskPool {
-            shared: Arc::new(PoolShared {
-                injector: Mutex::new(VecDeque::new()),
-                workers: (0..threads)
-                    .map(|_| WorkerState {
-                        deque: Mutex::new(VecDeque::new()),
-                    })
-                    .collect(),
-                sleep_lock: StdMutex::new(()),
-                wakeup: Condvar::new(),
-                shutdown: AtomicBool::new(false),
-                queued: AtomicI64::new(0),
+            shared: Arc::new(Shared {
+                queue: Mutex::new(Queue {
+                    jobs: VecDeque::new(),
+                    shutdown: false,
+                }),
+                wake: Condvar::new(),
                 tasks_run: AtomicU64::new(0),
-                tasks_stolen: AtomicU64::new(0),
                 tasks_cancelled: AtomicU64::new(0),
                 task_panics: AtomicU64::new(0),
                 obs,
             }),
-            threads,
-            started: AtomicBool::new(false),
-            start_lock: StdMutex::new(()),
-            handles: Mutex::new(Vec::new()),
+            threads: threads.max(1),
+            workers: OnceLock::new(),
         }
     }
 
@@ -301,20 +201,14 @@ impl TaskPool {
         self.threads
     }
 
-    /// The pool-worker index of the calling thread, `None` when called
-    /// from outside any pool's workers (e.g. a scope owner helping).
-    pub fn current_worker() -> Option<usize> {
-        WORKER_INDEX.with(|w| w.get())
-    }
-
-    // ---- counters (tests assert on these; obs mirrors them) ----
-
     pub fn tasks_run(&self) -> u64 {
         self.shared.tasks_run.load(Ordering::Relaxed)
     }
 
+    /// Always 0: there is one shared queue, so no task is ever stolen.
+    /// Kept so readers of the old work-stealing counter still compile.
     pub fn tasks_stolen(&self) -> u64 {
-        self.shared.tasks_stolen.load(Ordering::Relaxed)
+        0
     }
 
     pub fn tasks_cancelled(&self) -> u64 {
@@ -326,56 +220,29 @@ impl TaskPool {
     }
 
     pub fn queue_depth(&self) -> i64 {
-        self.shared.queued.load(Ordering::Relaxed)
+        lock(&self.shared.queue).jobs.len() as i64
     }
 
-    /// Workers start lazily on first submission, so pools owned by
-    /// components that never execute anything cost no threads.
-    fn ensure_workers(&self) {
-        if self.started.load(Ordering::SeqCst) {
-            return;
-        }
-        let _guard = self.start_lock.lock().unwrap();
-        if self.started.load(Ordering::SeqCst) {
-            return;
-        }
-        let mut handles = self.handles.lock();
-        for i in 0..self.threads {
-            let shared = Arc::clone(&self.shared);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("taskpool-{i}"))
-                    .spawn(move || worker_loop(shared, i))
-                    .expect("spawn taskpool worker"),
-            );
-        }
-        self.started.store(true, Ordering::SeqCst);
+    fn submit(&self, jobs: impl IntoIterator<Item = Job>) {
+        self.workers.get_or_init(|| {
+            (0..self.threads)
+                .map(|i| {
+                    let shared = Arc::clone(&self.shared);
+                    std::thread::Builder::new()
+                        .name(format!("taskpool-{i}"))
+                        .spawn(move || worker_loop(shared))
+                        .expect("spawn taskpool worker")
+                })
+                .collect()
+        });
+        self.shared.push(jobs);
     }
 
-    fn push_job(&self, job: Job) {
-        self.ensure_workers();
-        self.shared.push(job);
-    }
-
-    /// Fire-and-forget submission with panic capture: a panicking task is
-    /// swallowed (and counted) instead of unwinding a worker. Used by the
-    /// broker's scatter so a reply that arrives after the gather gave up
-    /// runs on a pooled worker whose only side effect is a failed channel
-    /// send — never an unjoined OS thread.
-    pub fn spawn_detached(&self, f: impl FnOnce() + Send + 'static) {
-        let shared = Arc::clone(&self.shared);
-        self.push_job(Box::new(move || {
-            if panic::catch_unwind(AssertUnwindSafe(f)).is_err() {
-                shared.note_panic();
-            }
-            shared.note_run();
-        }));
-    }
-
-    /// [`spawn_detached`](TaskPool::spawn_detached) with deadline
-    /// cancellation: if `deadline` has passed when a worker dequeues the
-    /// task, it is abandoned without running (the broker's gather then
-    /// observes a channel timeout, exactly as if the server never replied).
+    /// Fire-and-forget submission with panic capture and deadline
+    /// cancellation. A panicking task is swallowed (and counted) instead of
+    /// unwinding a worker. If `deadline` has passed when the task is popped,
+    /// it is abandoned without running: the broker's gather then sees a
+    /// channel timeout, exactly as if the server never replied.
     pub fn spawn_detached_with_deadline(
         &self,
         deadline: &Deadline,
@@ -383,239 +250,96 @@ impl TaskPool {
     ) {
         let shared = Arc::clone(&self.shared);
         let deadline = deadline.clone();
-        self.push_job(Box::new(move || {
-            if deadline.expired() {
-                shared.note_cancelled();
-            } else if panic::catch_unwind(AssertUnwindSafe(f)).is_err() {
-                shared.note_panic();
+        self.submit([Box::new(move || {
+            if let Some(Err(_)) = shared.run(&deadline, f) {
+                shared.count(&shared.task_panics, "taskpool.task_panics");
             }
-            shared.note_run();
-        }));
+            shared.count(&shared.tasks_run, "taskpool.tasks_run");
+        }) as Job]);
     }
 
-    /// Run `f` with a [`Scope`] whose spawned tasks may borrow anything
-    /// that outlives the call. Returns only after every spawned task has
-    /// finished; the first task panic (or the closure's own) is re-thrown
-    /// here.
-    pub fn scope<'scope, R>(&'scope self, f: impl FnOnce(&Scope<'scope>) -> R) -> R {
-        let scope = Scope {
-            pool: self,
-            state: Arc::new(ScopeState::new()),
-            _marker: PhantomData,
-        };
-        let result = panic::catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        // Settle before propagating anything: tasks may still borrow stack
-        // data, so the scope must not unwind past it while they run.
-        scope.state.complete_one();
-        self.wait_scope(&scope.state);
-        if let Some(p) = scope.state.take_panic() {
+    /// Run `f(0)..f(n)` as pool tasks and return their results in index
+    /// order. `None` marks a task abandoned because `deadline` had passed
+    /// before it started. The caller runs queued jobs while it waits. The
+    /// first task panic is re-thrown here, once every task has finished.
+    pub fn map<T, F>(&self, deadline: &Deadline, n: usize, f: F) -> Vec<Option<T>>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
+        if n == 0 {
+            return Vec::new();
+        }
+        let slots = Arc::new(MapSlots {
+            results: (0..n).map(|_| Mutex::new(None)).collect(),
+            panic: Mutex::new(None),
+            pending: AtomicUsize::new(n),
+        });
+        let f = &f;
+        let jobs = (0..n).map(|i| {
+            let (shared, slots) = (Arc::clone(&self.shared), Arc::clone(&slots));
+            let deadline = deadline.clone();
+            let job = Box::new(move || {
+                match shared.run(&deadline, || f(i)) {
+                    Some(Ok(v)) => *lock(&slots.results[i]) = Some(v),
+                    Some(Err(p)) => {
+                        lock(&slots.panic).get_or_insert(p);
+                    }
+                    None => {}
+                }
+                shared.count(&shared.tasks_run, "taskpool.tasks_run");
+                // Release: publishes this task's slot to the caller's
+                // Acquire load of `pending`.
+                if slots.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    // Under the lock: the caller checks `pending` under it.
+                    let _q = lock(&shared.queue);
+                    shared.wake.notify_all();
+                }
+            });
+            // SAFETY: the job borrows `f` and the caller's captures of `f`;
+            // `help_until_done` below returns only once `pending` is zero,
+            // i.e. after every job has used its last borrow.
+            unsafe { erase(job) }
+        });
+        self.submit(jobs);
+        self.help_until_done(&slots.pending);
+        if let Some(p) = lock(&slots.panic).take() {
             panic::resume_unwind(p);
         }
-        match result {
-            Ok(r) => r,
-            Err(p) => panic::resume_unwind(p),
-        }
+        slots.results.iter().map(|r| lock(r).take()).collect()
     }
 
-    /// Wait for a scope's tasks, executing pool work while waiting (the
-    /// "help" protocol) so nested scopes on one pool cannot deadlock.
-    fn wait_scope(&self, state: &ScopeState) {
-        loop {
-            if state.pending.load(Ordering::SeqCst) == 0 {
-                return;
+    /// Run queued jobs until `pending` reaches zero, sleeping on the pool's
+    /// condvar when the queue is empty. The check and the wait both happen
+    /// under the queue lock that finishing tasks take to notify, so the
+    /// wait needs no timeout.
+    fn help_until_done(&self, pending: &AtomicUsize) {
+        let shared = &self.shared;
+        let mut q = lock(&shared.queue);
+        while pending.load(Ordering::Acquire) > 0 {
+            if let Some(job) = shared.pop(&mut q) {
+                drop(q);
+                job();
+                q = lock(&shared.queue);
+            } else {
+                q = shared.wake.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
-            if let Some(job) = self.shared.pop_any() {
-                self.shared.run_job(job);
-                continue;
-            }
-            let guard = state.lock.lock().unwrap();
-            if state.pending.load(Ordering::SeqCst) == 0 {
-                return;
-            }
-            // Short timeout: a job belonging to this scope may appear on a
-            // deque we can steal from while its owner is busy elsewhere.
-            let _ = state
-                .done
-                .wait_timeout(guard, Duration::from_millis(1))
-                .unwrap();
+        }
+        // A push's single notify may have woken this caller rather than an
+        // idle worker; hand it on so queued work never sits unclaimed.
+        if !q.jobs.is_empty() {
+            shared.wake.notify_one();
         }
     }
 }
 
 impl Drop for TaskPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            let _guard = self.shared.sleep_lock.lock().unwrap();
-            self.shared.wakeup.notify_all();
-        }
-        for h in self.handles.lock().drain(..) {
+        lock(&self.shared.queue).shutdown = true;
+        self.shared.wake.notify_all();
+        for h in self.workers.take().into_iter().flatten() {
             let _ = h.join();
         }
-    }
-}
-
-struct ScopeState {
-    /// Outstanding tasks + 1 for the scope body itself (so the count can
-    /// only reach zero after the body has finished spawning).
-    pending: AtomicUsize,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    lock: StdMutex<()>,
-    done: Condvar,
-}
-
-impl ScopeState {
-    fn new() -> ScopeState {
-        ScopeState {
-            pending: AtomicUsize::new(1),
-            panic: Mutex::new(None),
-            lock: StdMutex::new(()),
-            done: Condvar::new(),
-        }
-    }
-
-    fn complete_one(&self) {
-        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _guard = self.lock.lock().unwrap();
-            self.done.notify_all();
-        }
-    }
-
-    fn set_panic(&self, p: Box<dyn std::any::Any + Send>) {
-        let mut slot = self.panic.lock();
-        if slot.is_none() {
-            *slot = Some(p);
-        }
-    }
-
-    fn take_panic(&self) -> Option<Box<dyn std::any::Any + Send>> {
-        self.panic.lock().take()
-    }
-}
-
-/// Spawn handle passed to the closure of [`TaskPool::scope`].
-pub struct Scope<'scope> {
-    pool: &'scope TaskPool,
-    state: Arc<ScopeState>,
-    /// Invariant over 'scope, so the borrow checker cannot shrink the
-    /// region tasks are allowed to borrow from.
-    _marker: PhantomData<fn(&'scope ()) -> &'scope ()>,
-}
-
-impl<'scope> Scope<'scope> {
-    pub fn spawn(&self, f: impl FnOnce() + Send + 'scope) {
-        self.spawn_with_deadline(&Deadline::none(), f)
-    }
-
-    /// Like [`Scope::spawn`], but the task is abandoned (never run, counted
-    /// in `taskpool.tasks_cancelled`) if `deadline` has expired by the time
-    /// a worker picks it up.
-    pub fn spawn_with_deadline(&self, deadline: &Deadline, f: impl FnOnce() + Send + 'scope) {
-        self.state.pending.fetch_add(1, Ordering::SeqCst);
-        let state = Arc::clone(&self.state);
-        let shared = Arc::clone(&self.pool.shared);
-        let deadline = deadline.clone();
-        let task = move || {
-            if deadline.expired() {
-                shared.note_cancelled();
-            } else if let Err(p) = panic::catch_unwind(AssertUnwindSafe(f)) {
-                state.set_panic(p);
-            }
-            shared.note_run();
-            state.complete_one();
-        };
-        let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(task);
-        // SAFETY: the scope's owner blocks in `wait_scope` until `pending`
-        // reaches zero, i.e. until this job has run (or been abandoned) and
-        // dropped — so the 'scope borrows it captures are live for the
-        // job's whole existence, even though the queue slot is 'static.
-        let job: Job = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Box<dyn FnOnce() + Send>>(job)
-        };
-        self.pool.push_job(job);
-    }
-
-    /// Spawn a homogeneous batch of tasks in one submission: job `i` is
-    /// dealt onto the deque of its *home worker* `i % threads` (one lock
-    /// per worker, one wakeup for the whole batch) instead of paying an
-    /// injector round-trip per job. Used by morsel fan-out, where one
-    /// segment scan turns into dozens of small tasks at once; a job
-    /// executed off its home worker was stolen or helped
-    /// ([`TaskPool::current_worker`] tells the job which happened).
-    /// Deadline semantics match [`Scope::spawn_with_deadline`].
-    pub fn spawn_batch_with_deadline<F>(&self, deadline: &Deadline, fs: Vec<F>)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        if fs.is_empty() {
-            return;
-        }
-        self.pool.ensure_workers();
-        let mut jobs: Vec<Job> = Vec::with_capacity(fs.len());
-        for f in fs {
-            self.state.pending.fetch_add(1, Ordering::SeqCst);
-            let state = Arc::clone(&self.state);
-            let shared = Arc::clone(&self.pool.shared);
-            let deadline = deadline.clone();
-            let task = move || {
-                if deadline.expired() {
-                    shared.note_cancelled();
-                } else if let Err(p) = panic::catch_unwind(AssertUnwindSafe(f)) {
-                    state.set_panic(p);
-                }
-                shared.note_run();
-                state.complete_one();
-            };
-            let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(task);
-            // SAFETY: as in `spawn_with_deadline` — the scope owner blocks
-            // in `wait_scope` until `pending` reaches zero, so the 'scope
-            // borrows each job captures outlive the job.
-            let job: Job = unsafe {
-                std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Box<dyn FnOnce() + Send>>(
-                    job,
-                )
-            };
-            jobs.push(job);
-        }
-        self.pool.shared.push_batch(jobs);
-    }
-}
-
-/// Per-worker accumulation slots for order-independent partials (integer
-/// kernel counters, busy-time tallies). Slot `i` belongs to pool worker
-/// `i`; one extra trailing slot collects contributions from non-worker
-/// threads (scope owners helping while they wait). After the scope joins,
-/// [`WorkerSlots::into_slots`] hands the partials back in fixed slot
-/// order, so merging them is deterministic no matter which worker ran
-/// which task — provided the per-slot merge is commutative/associative,
-/// which the morsel proptests pin.
-pub struct WorkerSlots<T> {
-    slots: Vec<Mutex<T>>,
-}
-
-impl<T: Default> WorkerSlots<T> {
-    /// Slots for `pool`: one per worker plus one for outside helpers.
-    pub fn new(pool: &TaskPool) -> WorkerSlots<T> {
-        WorkerSlots {
-            slots: (0..pool.threads() + 1)
-                .map(|_| Mutex::new(T::default()))
-                .collect(),
-        }
-    }
-
-    /// Run `f` on the calling thread's slot (the helper slot when the
-    /// caller is not a pool worker).
-    pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        let idx = TaskPool::current_worker()
-            .map(|w| w.min(self.slots.len() - 2))
-            .unwrap_or(self.slots.len() - 1);
-        f(&mut self.slots[idx].lock())
-    }
-
-    /// The accumulated partials, in fixed slot order (workers 0..n, then
-    /// the helper slot).
-    pub fn into_slots(self) -> Vec<T> {
-        self.slots.into_iter().map(|m| m.into_inner()).collect()
     }
 }
 
@@ -623,40 +347,32 @@ impl<T: Default> WorkerSlots<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
-    fn scoped_tasks_borrow_and_join() {
+    fn map_borrows_and_returns_in_index_order() {
         let pool = TaskPool::with_threads(4, None);
         let data: Vec<u64> = (0..100).collect();
-        let sums: Vec<Mutex<u64>> = (0..10).map(|_| Mutex::new(0)).collect();
-        pool.scope(|s| {
-            for (i, chunk) in data.chunks(10).enumerate() {
-                let slot = &sums[i];
-                s.spawn(move || {
-                    *slot.lock() = chunk.iter().sum();
-                });
-            }
+        let sums = pool.map(&Deadline::none(), 10, |i| {
+            data[i * 10..(i + 1) * 10].iter().sum::<u64>()
         });
-        let total: u64 = sums.iter().map(|m| *m.lock()).sum();
-        assert_eq!(total, 4950);
+        let expect: Vec<Option<u64>> = data.chunks(10).map(|c| Some(c.iter().sum())).collect();
+        assert_eq!(sums, expect);
         assert_eq!(pool.tasks_run(), 10);
         assert_eq!(pool.queue_depth(), 0);
+        assert!(pool.map(&Deadline::none(), 0, |i| i).is_empty());
     }
 
     #[test]
     fn single_thread_mode_runs_every_task_once() {
         let pool = TaskPool::with_threads(1, None);
         let ran = Mutex::new(Vec::new());
-        pool.scope(|s| {
-            for i in 0..50 {
-                let ran = &ran;
-                s.spawn(move || ran.lock().push(i));
-            }
-        });
-        // The worker and the helping scope owner both pop, so completion
-        // order is not defined; callers get determinism from slot-ordered
-        // merges, not from the schedule.
-        let mut ran = ran.into_inner();
+        let out = pool.map(&Deadline::none(), 50, |i| lock(&ran).push(i));
+        assert_eq!(out.len(), 50);
+        // The worker and the helping caller both pop, so completion order
+        // is not defined; callers get determinism from index order.
+        let mut ran = ran.into_inner().unwrap();
         ran.sort_unstable();
         assert_eq!(ran, (0..50).collect::<Vec<_>>());
     }
@@ -666,203 +382,139 @@ mod tests {
         let pool = TaskPool::with_threads(2, None);
         let finished = AtomicU32::new(0);
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                for i in 0..8 {
-                    let finished = &finished;
-                    s.spawn(move || {
-                        if i == 3 {
-                            panic!("boom in task {i}");
-                        }
-                        finished.fetch_add(1, Ordering::SeqCst);
-                    });
+            pool.map(&Deadline::none(), 8, |i| {
+                if i == 3 {
+                    panic!("boom in task {i}");
                 }
-            });
+                finished.fetch_add(1, Ordering::SeqCst);
+            })
         }));
-        assert!(result.is_err(), "task panic must reach the scope owner");
+        assert!(result.is_err(), "task panic must reach the map caller");
         // Every non-panicking task still ran to completion before unwind.
         assert_eq!(finished.load(Ordering::SeqCst), 7);
         // The pool survives and runs new work.
-        let ok = Mutex::new(false);
-        pool.scope(|s| {
-            let ok = &ok;
-            s.spawn(move || *ok.lock() = true);
-        });
-        assert!(*ok.lock());
+        assert_eq!(pool.map(&Deadline::none(), 1, |_| true), vec![Some(true)]);
     }
 
     #[test]
     fn expired_deadline_cancels_queued_tasks() {
         let pool = TaskPool::with_threads(1, None);
         let ran = AtomicU32::new(0);
-        let deadline = Deadline::at(Some(Instant::now() - Duration::from_millis(1)));
-        pool.scope(|s| {
-            for _ in 0..5 {
-                let ran = &ran;
-                s.spawn_with_deadline(&deadline, move || {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
+        let bump = |_| ran.fetch_add(1, Ordering::SeqCst);
+        let expired = Deadline::at(Some(Instant::now() - Duration::from_millis(1)));
+        assert!(pool.map(&expired, 5, bump).iter().all(Option::is_none));
         assert_eq!(ran.load(Ordering::SeqCst), 0);
         assert_eq!(pool.tasks_cancelled(), 5);
 
         // A live deadline lets everything through.
         let live = Deadline::at(Some(Instant::now() + Duration::from_secs(60)));
-        pool.scope(|s| {
-            for _ in 0..5 {
-                let ran = &ran;
-                s.spawn_with_deadline(&live, move || {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
+        assert!(pool.map(&live, 5, bump).iter().all(Option::is_some));
         assert_eq!(ran.load(Ordering::SeqCst), 5);
         assert_eq!(pool.tasks_cancelled(), 5);
     }
 
     #[test]
-    fn nested_scopes_on_one_pool_do_not_deadlock() {
+    fn nested_maps_on_one_pool_do_not_deadlock() {
         let pool = TaskPool::with_threads(1, None);
-        let total = AtomicU32::new(0);
-        pool.scope(|outer| {
-            for _ in 0..3 {
-                let pool = &pool;
-                let total = &total;
-                outer.spawn(move || {
-                    pool.scope(|inner| {
-                        for _ in 0..4 {
-                            inner.spawn(move || {
-                                total.fetch_add(1, Ordering::SeqCst);
-                            });
-                        }
-                    });
-                });
-            }
+        let none = Deadline::none();
+        let outer = pool.map(&none, 3, |i| {
+            pool.map(&none, 4, |j| i * 4 + j)
+                .into_iter()
+                .map(Option::unwrap)
+                .sum::<usize>()
         });
-        assert_eq!(total.load(Ordering::SeqCst), 12);
+        assert_eq!(outer.into_iter().map(Option::unwrap).sum::<usize>(), 66);
     }
 
     #[test]
     fn detached_tasks_capture_panics() {
         let pool = TaskPool::with_threads(2, None);
-        let done = Arc::new(AtomicU32::new(0));
-        pool.spawn_detached(|| panic!("detached boom"));
-        let d = Arc::clone(&done);
-        pool.spawn_detached(move || {
-            d.fetch_add(1, Ordering::SeqCst);
-        });
+        let (tx, rx) = mpsc::channel();
+        pool.spawn_detached_with_deadline(&Deadline::none(), || panic!("detached boom"));
+        pool.spawn_detached_with_deadline(&Deadline::none(), move || tx.send(()).unwrap());
+        rx.recv_timeout(Duration::from_secs(5)).unwrap();
         let start = Instant::now();
-        while (pool.tasks_run() < 2 || done.load(Ordering::SeqCst) == 0)
-            && start.elapsed() < Duration::from_secs(5)
-        {
+        while pool.tasks_run() < 2 && start.elapsed() < Duration::from_secs(5) {
             std::thread::yield_now();
         }
-        assert_eq!(done.load(Ordering::SeqCst), 1);
+        assert_eq!(pool.tasks_run(), 2);
         assert_eq!(pool.task_panics(), 1);
-    }
-
-    #[test]
-    fn work_is_stolen_under_imbalance() {
-        // Many tasks, several workers: the injector refill batches ensure
-        // deques fill, and idle workers steal from busy ones.
-        let pool = TaskPool::with_threads(4, None);
-        let count = AtomicU32::new(0);
-        pool.scope(|s| {
-            for _ in 0..256 {
-                let count = &count;
-                s.spawn(move || {
-                    count.fetch_add(1, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_micros(50));
-                });
-            }
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 256);
-        assert_eq!(pool.tasks_run(), 256);
     }
 
     #[test]
     fn obs_metrics_are_recorded() {
         let obs = Obs::shared();
         let pool = TaskPool::with_threads(2, Some(Arc::clone(&obs)));
-        pool.scope(|s| {
-            for _ in 0..16 {
-                s.spawn(|| {});
-            }
-        });
+        pool.map(&Deadline::none(), 16, |_| {});
         let expired = Deadline::at(Some(Instant::now() - Duration::from_millis(1)));
-        pool.scope(|s| s.spawn_with_deadline(&expired, || {}));
+        pool.map(&expired, 1, |_| {});
         let snap = obs.metrics.snapshot();
         assert_eq!(snap.counter("taskpool.tasks_run"), pool.tasks_run());
+        assert_eq!(snap.counter("taskpool.tasks_run"), 17);
         assert_eq!(snap.counter("taskpool.tasks_cancelled"), 1);
         assert_eq!(snap.gauge("taskpool.queue_depth"), Some(0));
     }
 
-    #[test]
-    fn batch_spawn_runs_every_job_and_joins() {
-        let pool = TaskPool::with_threads(3, None);
-        let hits: Vec<Mutex<u64>> = (0..64).map(|_| Mutex::new(0)).collect();
-        pool.scope(|s| {
-            let jobs: Vec<_> = hits.iter().map(|slot| move || *slot.lock() += 1).collect();
-            s.spawn_batch_with_deadline(&Deadline::none(), jobs);
-        });
-        assert!(hits.iter().all(|h| *h.lock() == 1));
-        assert_eq!(pool.tasks_run(), 64);
-        assert_eq!(pool.queue_depth(), 0);
+    std::thread_local! {
+        /// Set by a task on the worker that runs it; released only when
+        /// that thread exits.
+        static WORKER_GUARD: std::cell::RefCell<Option<Arc<()>>> =
+            const { std::cell::RefCell::new(None) };
     }
 
     #[test]
-    fn batch_spawn_respects_expired_deadline() {
-        let pool = TaskPool::with_threads(2, None);
-        let ran = AtomicU32::new(0);
-        let expired = Deadline::at(Some(Instant::now() - Duration::from_millis(1)));
-        pool.scope(|s| {
-            let jobs: Vec<_> = (0..8)
-                .map(|_| {
-                    let ran = &ran;
-                    move || {
-                        ran.fetch_add(1, Ordering::SeqCst);
-                    }
-                })
-                .collect();
-            s.spawn_batch_with_deadline(&expired, jobs);
-        });
-        assert_eq!(ran.load(Ordering::SeqCst), 0);
-        assert_eq!(pool.tasks_cancelled(), 8);
-    }
+    fn dropping_the_pool_joins_every_worker() {
+        let idle = TaskPool::with_threads(4, None);
+        assert!(
+            idle.workers.get().is_none(),
+            "an idle pool starts no thread"
+        );
+        drop(idle);
 
-    #[test]
-    fn current_worker_is_set_on_workers_only() {
-        assert_eq!(TaskPool::current_worker(), None);
         let pool = TaskPool::with_threads(2, None);
-        let seen = Mutex::new(Vec::new());
-        pool.scope(|s| {
-            for _ in 0..32 {
-                let seen = &seen;
-                s.spawn(move || seen.lock().push(TaskPool::current_worker()));
-            }
-        });
-        // Every observed index fits the pool; the scope owner helping
-        // reports `None`.
-        for w in seen.lock().iter().flatten() {
-            assert!(*w < 2);
+        let marker = Arc::new(());
+        // Both tasks block on the barrier until both run, so each of the
+        // two workers takes exactly one and plants a guard on itself.
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..2 {
+            let (marker, barrier, tx) = (Arc::clone(&marker), Arc::clone(&barrier), tx.clone());
+            pool.spawn_detached_with_deadline(&Deadline::none(), move || {
+                WORKER_GUARD.with(|g| *g.borrow_mut() = Some(marker));
+                barrier.wait();
+                tx.send(()).unwrap();
+            });
         }
+        (0..2).for_each(|_| rx.recv_timeout(Duration::from_secs(5)).unwrap());
+        assert_eq!(Arc::strong_count(&marker), 3);
+        drop(pool);
+        // A worker's guard is dropped only when its thread exits.
+        assert_eq!(Arc::strong_count(&marker), 1, "a worker outlived the pool");
     }
 
     #[test]
-    fn worker_slots_accumulate_in_fixed_order() {
-        let pool = TaskPool::with_threads(4, None);
-        let slots: WorkerSlots<u64> = WorkerSlots::new(&pool);
-        pool.scope(|s| {
-            let jobs: Vec<_> = (0..100u64)
-                .map(|i| {
-                    let slots = &slots;
-                    move || slots.with(|t| *t += i)
-                })
-                .collect();
-            s.spawn_batch_with_deadline(&Deadline::none(), jobs);
+    fn no_lost_wakeup_on_two_threads() {
+        const ROUNDS: usize = 10_000;
+        let pool = Arc::new(TaskPool::with_threads(2, None));
+        for round in 0..ROUNDS {
+            let (tx, rx) = mpsc::channel();
+            pool.spawn_detached_with_deadline(&Deadline::none(), move || tx.send(round).unwrap());
+            let got = rx.recv_timeout(Duration::from_secs(5));
+            assert_eq!(got, Ok(round), "detached round {round} was never run");
+        }
+        // A hung `map` cannot time out by itself, so the loop runs on a
+        // thread of its own and the test waits for it with a timeout.
+        let (done_tx, done_rx) = mpsc::channel();
+        let maps = Arc::clone(&pool);
+        std::thread::spawn(move || {
+            for round in 0..ROUNDS {
+                assert_eq!(maps.map(&Deadline::none(), 1, |_| round), vec![Some(round)]);
+            }
+            done_tx.send(()).unwrap();
         });
-        let parts = slots.into_slots();
-        assert_eq!(parts.len(), 5);
-        assert_eq!(parts.iter().sum::<u64>(), 4950);
+        done_rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("a one-task map never returned");
+        assert_eq!(pool.tasks_run(), 2 * ROUNDS as u64);
     }
 }
