@@ -106,7 +106,8 @@ struct CachedRouting {
     tables: Vec<RoutingTable>,
     /// The full segment → replicas view the tables were generated from;
     /// consulted by replica failover when a routed server fails mid-query.
-    replicas: SegmentReplicas,
+    /// Shared, so a query takes it without copying the map.
+    replicas: Arc<SegmentReplicas>,
     /// For partitioned tables: partition id → (segment → replicas).
     partitions: Option<PartitionIndex>,
 }
@@ -1255,7 +1256,7 @@ impl Broker {
             table.to_string(),
             CachedRouting {
                 tables,
-                replicas,
+                replicas: Arc::new(replicas),
                 partitions,
             },
         );
@@ -1264,11 +1265,11 @@ impl Broker {
 
     /// The replica placement the routing cache was built from — who else
     /// can serve each segment when its routed server fails.
-    fn segment_replicas(&self, table: &str) -> SegmentReplicas {
+    fn segment_replicas(&self, table: &str) -> Arc<SegmentReplicas> {
         self.routing_cache
             .lock()
             .get(table)
-            .map(|c| c.replicas.clone())
+            .map(|c| Arc::clone(&c.replicas))
             .unwrap_or_default()
     }
 

@@ -28,7 +28,7 @@
 //! [`BLOCK_SIZE`]: crate::selection::BLOCK_SIZE
 //! [`ForwardIndex::read_block`]: pinot_segment::forward::ForwardIndex::read_block
 
-use crate::aggstate::AggState;
+use crate::aggstate::{AggState, DistinctSet};
 use crate::cost::PlannerMode;
 use crate::key::{GroupKey, GroupValue};
 use crate::selection::{DocBlock, DocSelection};
@@ -231,9 +231,7 @@ fn accept_zero_repeated(state: &mut AggState, n: u64) {
         AggState::Min(m) => *m = m.min(0.0),
         AggState::Max(m) => *m = m.max(0.0),
         AggState::Avg { count, .. } => *count += n, // sum += 0.0
-        AggState::Distinct(set) => {
-            set.insert(GroupValue::from_value(&Value::Double(0.0)));
-        }
+        AggState::Distinct(_) => state.accept_numeric(0.0),
     }
 }
 
@@ -284,21 +282,32 @@ impl SeenIds {
         }
     }
 
-    /// Late materialization: one dictionary lookup per distinct id seen,
-    /// into a set sized once.
-    fn materialize(&self, dict: &Dictionary, state: &mut AggState) {
-        if let AggState::Distinct(set) = state {
-            set.reserve(self.0.iter().map(|w| w.count_ones() as usize).sum());
-        }
+    /// Late materialization: the ids seen, in ascending order, read off
+    /// the typed dictionary once each.
+    fn materialize(&self, dict: &Dictionary) -> DistinctSet {
+        let mut ids = Vec::with_capacity(self.0.iter().map(|w| w.count_ones() as usize).sum());
         for (w, &word) in self.0.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
-                let id = (w << 6) as DictId + bits.trailing_zeros();
-                state.accept_value(&dict.value_of(id));
+                ids.push((w << 6) as DictId + bits.trailing_zeros());
                 bits &= bits - 1;
             }
         }
+        DistinctSet::from_dictionary(dict, &ids)
     }
+}
+
+/// Append `id` to one group's DISTINCTCOUNT id list. A full list is
+/// sorted and deduplicated in place before it grows, so it holds at most
+/// about twice its distinct ids, and each id costs amortized `O(log n)`.
+#[inline]
+fn push_distinct_id(ids: &mut Vec<DictId>, id: DictId) {
+    if ids.len() == ids.capacity() {
+        ids.sort_unstable();
+        ids.dedup();
+        ids.reserve(ids.len());
+    }
+    ids.push(id);
 }
 
 /// Ungrouped aggregation: SUM/MIN/MAX/COUNT/AVG accumulate over each
@@ -349,7 +358,7 @@ pub(crate) fn aggregate_selection(
     });
     for ((state, source), seen) in states.iter_mut().zip(&sources).zip(&seen) {
         if let (AggSource::Distinct(slot), Some(seen)) = (source, seen) {
-            seen.materialize(&uniq[*slot].col.dictionary, state);
+            *state = AggState::Distinct(seen.materialize(&uniq[*slot].col.dictionary));
         }
     }
     stats.num_entries_scanned_post_filter += entries;
@@ -564,10 +573,10 @@ impl<K: PackedKey> Slots<K> {
 
 /// Group-by: map a composite key of dict ids per doc to a dense slot,
 /// accumulate each slot's states from the block's widened values
-/// (DISTINCTCOUNT through the dictionary), and translate keys to
-/// `GroupKey`s only once per group at the end. Single-value group
-/// columns decode a block at a time; multi-value ones are expanded per
-/// block by [`MultiValueKeys`].
+/// (DISTINCTCOUNT as a per-slot list of dict ids), and translate keys
+/// and id lists to values only once per group at the end. Single-value
+/// group columns decode a block at a time; multi-value ones are expanded
+/// per block by [`MultiValueKeys`].
 pub(crate) fn group_by_selection<K: PackedKey>(
     aggs: &[AggregateExpr],
     group_cols: &[&ColumnData],
@@ -583,6 +592,10 @@ pub(crate) fn group_by_selection<K: PackedKey>(
     // Slot `s` is `slot_keys[s]`, and its states are `states[s * n..][..n]`.
     let mut slot_keys: Vec<K> = Vec::new();
     let mut states: Vec<AggState> = Vec::new();
+    // DISTINCTCOUNT's dict ids, parallel to `states`; kept only when the
+    // query has one.
+    let has_distinct = sources.iter().any(|s| matches!(s, AggSource::Distinct(_)));
+    let mut distinct_ids: Vec<Vec<DictId>> = Vec::new();
     let mut group_ids: Vec<Vec<DictId>> = vec![Vec::new(); group_cols.len()];
     let mut keys: Vec<K> = Vec::new();
     let mut multi = MultiValueKeys::<K>::new(group_cols);
@@ -613,15 +626,18 @@ pub(crate) fn group_by_selection<K: PackedKey>(
             let slot = slots.slot(key, &mut slot_keys);
             if states.len() == slot * n {
                 states.extend(aggs.iter().map(|a| AggState::new(a.function)));
+                if has_distinct {
+                    distinct_ids.resize_with(states.len(), Vec::new);
+                }
             }
-            for (state, source) in states[slot * n..][..n].iter_mut().zip(&sources) {
+            let slot_states = states[slot * n..][..n].iter_mut().zip(&sources);
+            for (k, (state, source)) in slot_states.enumerate() {
                 match source {
                     AggSource::NoColumn => accept_zero_repeated(state, 1),
                     AggSource::Numeric(u) => state.accept_numeric(uniq[*u].vals[row]),
                     AggSource::NonNumeric => {}
                     AggSource::Distinct(u) => {
-                        let u = &uniq[*u];
-                        state.accept_value(&u.col.dictionary.value_of(u.ids[row]));
+                        push_distinct_id(&mut distinct_ids[slot * n + k], uniq[*u].ids[row]);
                     }
                 }
             }
@@ -635,16 +651,26 @@ pub(crate) fn group_by_selection<K: PackedKey>(
     // Late materialization: unpack ids from each slot's key and look the
     // group values up once per *group*, not once per doc. Two ids can
     // share one canonical value (`0.0` and `-0.0` in a DOUBLE
-    // dictionary); their slots merge, in slot order.
+    // dictionary); their slots merge, in slot order. A DISTINCTCOUNT's
+    // id list is sorted and deduplicated in id space first.
     let mut out: HashMap<GroupKey, Vec<AggState>> = HashMap::with_capacity(slot_keys.len());
     let mut states = states.into_iter();
-    for key in slot_keys {
+    for (slot, key) in slot_keys.into_iter().enumerate() {
         let group_key: GroupKey = group_cols
             .iter()
             .enumerate()
             .map(|(ci, col)| GroupValue::from_value(&col.dictionary.value_of(key.get(layout, ci))))
             .collect();
-        let group: Vec<AggState> = states.by_ref().take(n).collect();
+        let mut group: Vec<AggState> = states.by_ref().take(n).collect();
+        for (k, (state, source)) in group.iter_mut().zip(&sources).enumerate() {
+            if let AggSource::Distinct(u) = source {
+                let ids = &mut distinct_ids[slot * n + k];
+                ids.sort_unstable();
+                ids.dedup();
+                let set = DistinctSet::from_dictionary(&uniq[*u].col.dictionary, ids);
+                *state = AggState::Distinct(set);
+            }
+        }
         crate::merge::merge_group(&mut out, group_key, group)
             .expect("states of one aggregation merge");
     }

@@ -7,13 +7,14 @@
 use pinot_common::Value;
 
 /// One group-by key component.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum GroupValue {
     Long(i64),
     Str(String),
     Bool(bool),
     /// f64 keyed by its total-order bit pattern.
     F64(u64),
+    #[default]
     Null,
 }
 
@@ -46,7 +47,7 @@ impl GroupValue {
     }
 }
 
-fn canonical_f64_bits(x: f64) -> u64 {
+pub(crate) fn canonical_f64_bits(x: f64) -> u64 {
     // Collapse all NaNs and the two zeros so equal-looking values group
     // together.
     if x.is_nan() {

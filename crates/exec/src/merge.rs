@@ -9,7 +9,7 @@ use crate::key::GroupKey;
 use crate::segment_exec::{IntermediateResult, ResultPayload};
 use pinot_common::profile::ProfileNode;
 use pinot_common::query::{AggregationRow, GroupByRows, QueryResult};
-use pinot_common::{PinotError, Result};
+use pinot_common::{PinotError, Result, Value};
 use pinot_pql::Query;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -140,31 +140,39 @@ pub fn finalize(result: IntermediateResult, query: &Query) -> Result<QueryResult
         }
         ResultPayload::GroupBy(groups) => {
             let aggs = query.aggregations();
+            if groups.values().any(|states| states.len() != aggs.len()) {
+                return Err(PinotError::Internal(
+                    "aggregation arity mismatch in finalize".into(),
+                ));
+            }
+            // Each group's key as values and as its debug rendering, the
+            // tie-break for deterministic output; rendered once per group.
+            let groups: Vec<(Vec<Value>, String, Vec<AggState>)> = groups
+                .into_iter()
+                .map(|(key, states)| {
+                    let values: Vec<Value> = key.iter().map(|g| g.to_value()).collect();
+                    let rendered = format!("{values:?}");
+                    (values, rendered, states)
+                })
+                .collect();
             let top = query.effective_top();
             let mut tables = Vec::with_capacity(aggs.len());
             for (i, a) in aggs.iter().enumerate() {
-                // Order groups by this aggregation's value, descending; tie
-                // break on the key for deterministic output.
-                let mut rows: Vec<(Vec<pinot_common::Value>, f64, pinot_common::Value)> = groups
+                // Order groups by this aggregation's value, descending, then
+                // by the rendered key.
+                let mut order: Vec<_> = groups
                     .iter()
-                    .map(|(key, states)| {
-                        let val = states[i].finalize();
-                        (
-                            key.iter().map(|g| g.to_value()).collect(),
-                            states[i].finalize_f64(),
-                            val,
-                        )
-                    })
+                    .map(|group| (group.2[i].finalize_f64(), group))
                     .collect();
-                rows.sort_by(|x, y| {
-                    y.1.total_cmp(&x.1)
-                        .then_with(|| format!("{:?}", x.0).cmp(&format!("{:?}", y.0)))
-                });
-                rows.truncate(top);
+                order.sort_by(|(x, gx), (y, gy)| y.total_cmp(x).then_with(|| gx.1.cmp(&gy.1)));
+                order.truncate(top);
                 tables.push(GroupByRows {
                     function: a.to_string(),
                     group_columns: query.group_by.clone(),
-                    rows: rows.into_iter().map(|(k, _, v)| (k, v)).collect(),
+                    rows: order
+                        .into_iter()
+                        .map(|(_, (key, _, states))| (key.clone(), states[i].finalize()))
+                        .collect(),
                 });
             }
             Ok(QueryResult::GroupBy(tables))
@@ -182,7 +190,6 @@ mod tests {
     use crate::aggstate::AggState;
     use crate::key::key_of;
     use pinot_common::query::ExecutionStats;
-    use pinot_common::Value;
     use pinot_pql::parse;
     use std::collections::HashMap;
 
@@ -280,6 +287,43 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// Tied values order by the key's debug rendering, so `[Long(10)]`
+    /// sorts before `[Long(9)]`; every table of the query uses that order.
+    #[test]
+    fn finalize_breaks_value_ties_on_the_rendered_key() {
+        let q = parse("SELECT SUM(m), COUNT(*) FROM t GROUP BY g TOP 4").unwrap();
+        let mut groups = HashMap::new();
+        for (k, sum) in [(9, 1.0), (10, 1.0), (2, 1.0), (7, 3.0), (11, 0.5)] {
+            groups.insert(
+                key_of(&[Value::Long(k)]),
+                vec![AggState::Sum(sum), AggState::Count(1)],
+            );
+        }
+        let r = finalize(
+            IntermediateResult {
+                payload: ResultPayload::GroupBy(groups),
+                stats: ExecutionStats::default(),
+                profile: None,
+            },
+            &q,
+        )
+        .unwrap();
+        let QueryResult::GroupBy(tables) = r else {
+            panic!("{r:?}")
+        };
+        let keys = |t: &GroupByRows| -> Vec<i64> {
+            t.rows
+                .iter()
+                .map(|(k, _)| match k[..] {
+                    [Value::Long(x)] => x,
+                    _ => panic!("{k:?}"),
+                })
+                .collect()
+        };
+        assert_eq!(keys(&tables[0]), vec![7, 10, 2, 9]);
+        assert_eq!(keys(&tables[1]), vec![10, 11, 2, 7]);
     }
 
     #[test]

@@ -94,8 +94,8 @@ fn execution_allocates_in_proportion_to_the_selection() {
     let dict_bytes = ROWS as u64 * 8;
     for (pql, docs) in [
         ("SELECT SUM(d), MAX(d) FROM t WHERE s = 'v07'", 2048),
-        // Its result holds every distinct selected value (32 B each plus
-        // hash-table slack), so this case selects 256 docs.
+        // Its result holds every distinct selected value (8 B each in a
+        // sorted run of canonical double bits).
         (
             "SELECT DISTINCTCOUNT(d) FROM t WHERE s = 'v07' AND g = 3",
             256,
@@ -111,6 +111,27 @@ fn execution_allocates_in_proportion_to_the_selection() {
         assert!(
             bytes < dict_bytes / 4,
             "{pql}: allocated {bytes} B, the dictionary is {dict_bytes} B"
+        );
+    }
+}
+
+/// DISTINCTCOUNT keeps typed, sorted runs: each selected value costs its
+/// 8 B in the result plus the id it was read through, with no hash table
+/// and no `Value` per number. Ungrouped and grouped over 2,048 docs, each
+/// stays under 40 B per selected doc.
+#[test]
+fn distinct_count_allocates_typed_runs() {
+    let handle = handle();
+    let limit = 40 * 2048;
+    for pql in [
+        "SELECT DISTINCTCOUNT(d) FROM t WHERE s = 'v07'",
+        "SELECT DISTINCTCOUNT(d) FROM t WHERE s = 'v07' GROUP BY g",
+    ] {
+        let (bytes, scanned) = bytes_for(&handle, pql);
+        assert_eq!(scanned, 2048, "{pql}");
+        assert!(
+            bytes < limit,
+            "{pql}: allocated {bytes} B, the limit is {limit} B"
         );
     }
 }
