@@ -30,6 +30,11 @@ for _ in $(seq 20); do
     cargo test --release -p pinot-taskpool -q
 done
 
+echo "== hybrid cluster tests, 20 runs in a row (both sides of a hybrid query run at once) =="
+for _ in $(seq 20); do
+    cargo test --release -p pinot-core --test cluster_test --test differential_ingest -q
+done
+
 echo "== tier-1 tests, deterministic single-thread pools =="
 PINOT_TASKPOOL_THREADS=1 cargo test -q
 

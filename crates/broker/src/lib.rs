@@ -9,8 +9,9 @@
 //! Hybrid tables pair an OFFLINE and a REALTIME physical table sharing a
 //! time column: the broker computes the *time boundary* (the newest time
 //! covered by offline data) and rewrites one logical query into two
-//! physical ones — offline strictly before the boundary, realtime at or
-//! after it (Figure 6) — then merges both results.
+//! sides — offline strictly before the boundary, realtime at or after it
+//! (Figure 6). Both sides' slices are scattered in one plan and their
+//! intermediate results reduced into one answer, finalized once.
 
 pub mod routing;
 pub mod survival;
@@ -18,7 +19,7 @@ pub mod survival;
 /// One server's share of a scattered query.
 pub use pinot_exec::ServerRequest as RoutedRequest;
 
-use crossbeam::channel::{bounded, RecvTimeoutError};
+use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
 use pinot_cluster::ClusterManager;
 use pinot_common::config::{RoutingStrategy, TableConfig};
@@ -62,12 +63,13 @@ struct QueryCtx {
     query_id: u64,
     profile: bool,
     analyze: bool,
+    deadline: Instant,
 }
 
-/// One query's broker phase wall times in nanoseconds, summed over the
-/// physical sides of a hybrid query. Each `broker.phase.*_ms` histogram is
-/// observed where its phase ends; this copy only feeds the query log's
-/// profile root for a logged query that asked for no profile.
+/// One query's broker phase wall times in nanoseconds. Each
+/// `broker.phase.*_ms` histogram is observed where its phase ends; this
+/// copy only feeds the query log's profile root for a logged query that
+/// asked for no profile.
 #[derive(Clone, Copy, Default)]
 struct PhaseNanos {
     parse: u64,
@@ -77,21 +79,57 @@ struct PhaseNanos {
     merge: u64,
 }
 
-/// One message on the gather channel. `origin` names the slice (the server
-/// the routing table assigned it to); `actual` names whoever executed —
-/// different from `origin` only for hedge replies, letting the gather
-/// dedupe by slice so the losing contender never double-counts.
-struct ScatterReply {
-    origin: InstanceId,
-    actual: InstanceId,
+/// One server's share of one physical side of a query: the unit the
+/// broker scatters, hedges and fails over. A hybrid query's offline and
+/// realtime sides are separate slices, even when one server holds both.
+struct Slice {
+    table: String,
+    /// This side's query (a hybrid side carries its time-boundary
+    /// conjunct).
+    query: Arc<Query>,
+    /// The side's segment → replicas view, for failover and hedging.
+    replicas: Arc<SegmentReplicas>,
+    server: InstanceId,
     segments: Vec<String>,
+}
+
+impl Slice {
+    /// The request that runs this slice's query over `segments`.
+    fn request(&self, segments: Vec<String>, tenant: &str, ctx: QueryCtx) -> RoutedRequest {
+        RoutedRequest {
+            table: self.table.clone(),
+            query: Arc::clone(&self.query),
+            segments,
+            tenant: tenant.to_string(),
+            deadline: Some(ctx.deadline),
+            query_id: ctx.query_id,
+            profile: ctx.profile,
+            analyze: ctx.analyze,
+        }
+    }
+}
+
+/// One message on the gather channel. `slice` indexes the plan; `actual`
+/// names whoever executed — different from the slice's server only for
+/// hedge replies, letting the gather dedupe by slice so the losing
+/// contender never double-counts.
+struct ScatterReply {
+    slice: usize,
+    actual: InstanceId,
     result: Result<IntermediateResult>,
 }
 
-/// Gather-side state for one unanswered slice.
-struct PendingSlice {
-    segments: Vec<String>,
-    hedged: bool,
+/// Gather-side state of one query: the one accumulator every slice's
+/// reply merges into, and what the response reports about the servers.
+struct Gather {
+    acc: IntermediateResult,
+    /// Plan indices of the slices still unanswered.
+    pending: BTreeSet<usize>,
+    /// Servers that failed during this query; failover and hedging skip
+    /// them.
+    failed: HashSet<InstanceId>,
+    exceptions: Vec<String>,
+    server_wall_ns: HashMap<String, u64>,
 }
 
 /// What brokers need from a server. Implemented by an adapter around
@@ -295,14 +333,14 @@ impl Broker {
     /// offered to the slow/partial query log.
     pub fn execute(&self, request: &QueryRequest) -> QueryResponse {
         let started = Instant::now();
-        let deadline = started + Duration::from_millis(request.timeout_ms);
         let ctx = QueryCtx {
             query_id: self.next_query_id(),
             profile: request.profile,
             analyze: request.analyze,
+            deadline: started + Duration::from_millis(request.timeout_ms),
         };
         let mut phases = PhaseNanos::default();
-        let mut response = match self.execute_inner(request, ctx, deadline, &mut phases) {
+        let mut response = match self.execute_inner(request, ctx, &mut phases) {
             Ok(resp) => resp,
             Err(e) => {
                 self.obs.metrics.counter_add("broker.query.failed", 1);
@@ -398,7 +436,6 @@ impl Broker {
         &self,
         request: &QueryRequest,
         ctx: QueryCtx,
-        deadline: Instant,
         phases: &mut PhaseNanos,
     ) -> Result<QueryResponse> {
         let (parsed, _) = self.timed("broker.phase.parse_ms", &mut phases.parse, || {
@@ -440,480 +477,140 @@ impl Broker {
         // of a hybrid query.
         let _permit = self
             .admission
-            .admit(&tenant, deadline, || {
+            .admit(&tenant, ctx.deadline, || {
                 self.obs.metrics.counter_add("broker.admission_queued", 1);
             })
             .inspect_err(|_| {
                 self.obs.metrics.counter_add("broker.admission_shed", 1);
             })?;
-        match physical.as_slice() {
-            [table] => self.execute_physical(table, &query, &tenant, ctx, deadline, None, phases),
-            [offline, realtime] => {
-                self.execute_hybrid(offline, realtime, &query, &tenant, ctx, deadline, phases)
+        let sides = match physical.as_slice() {
+            [table] => vec![(table.clone(), Arc::clone(&query))],
+            [offline, realtime] => self.hybrid_sides(offline, realtime, &query)?,
+            _ => {
+                return Err(PinotError::Internal(format!(
+                    "unexpected physical resolution {physical:?}"
+                )))
             }
-            _ => Err(PinotError::Internal(format!(
-                "unexpected physical resolution {physical:?}"
-            ))),
-        }
+        };
+        self.scatter_gather(&query, sides, &tenant, ctx, phases)
     }
 
-    /// Hybrid rewrite (Figure 6): offline serves `time < boundary`,
-    /// realtime serves `time >= boundary`.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_hybrid(
+    /// Hybrid rewrite (Figure 6): the offline side serves
+    /// `time < boundary`, the realtime side `time >= boundary`. With no
+    /// offline data yet, the realtime side serves the whole query.
+    fn hybrid_sides(
         &self,
         offline: &str,
         realtime: &str,
         query: &Arc<Query>,
-        tenant: &str,
-        ctx: QueryCtx,
-        deadline: Instant,
-        phases: &mut PhaseNanos,
-    ) -> Result<QueryResponse> {
+    ) -> Result<Vec<(String, Arc<Query>)>> {
         let time_column = self
-            .table_time_column(offline)?
+            .time_column_cached(offline)
             .ok_or_else(|| PinotError::Metadata(format!("{offline} has no time column")))?;
-        let boundary = self.offline_time_boundary(offline);
-
-        let (offline_query, realtime_query) = match boundary {
-            None => (None, Some(Arc::clone(query))), // no offline data yet
-            Some(b) => {
-                let off = add_conjunct(
-                    query,
-                    Predicate::Cmp {
-                        column: time_column.clone(),
-                        op: CmpOp::Lt,
-                        value: Value::Long(b),
-                    },
-                );
-                let rt = add_conjunct(
-                    query,
-                    Predicate::Cmp {
-                        column: time_column.clone(),
-                        op: CmpOp::Ge,
-                        value: Value::Long(b),
-                    },
-                );
-                (Some(Arc::new(off)), Some(Arc::new(rt)))
-            }
+        let Some(boundary) = self.offline_time_boundary(offline) else {
+            return Ok(vec![(realtime.to_string(), Arc::clone(query))]);
         };
-
-        let mut responses = Vec::new();
-        for (table, side) in [(offline, offline_query), (realtime, realtime_query)] {
-            let Some(q) = side else { continue };
-            let r = self.execute_physical(table, &q, tenant, ctx, deadline, Some(query), phases)?;
-            responses.push(r);
-        }
-        // Merge the per-side responses.
-        let mut iter = responses.into_iter();
-        let mut first = iter.next().expect("at least one side");
-        for other in iter {
-            first.partial |= other.partial;
-            first.exceptions.extend(other.exceptions);
-            first.stats.merge(&other.stats);
-            // Fold the realtime side's broker tree into the offline side's:
-            // one cluster-wide profile per logical query.
-            first.profile = match (first.profile.take(), other.profile) {
-                (Some(mut a), Some(b)) => {
-                    a.root.fold(&b.root);
-                    Some(a)
-                }
-                (a, b) => a.or(b),
+        let side = |table: &str, op| {
+            let pred = Predicate::Cmp {
+                column: time_column.clone(),
+                op,
+                value: Value::Long(boundary),
             };
-            first.result = merge_results(first.result, other.result, query)?;
-        }
-        Ok(first)
+            (table.to_string(), Arc::new(add_conjunct(query, pred)))
+        };
+        Ok(vec![side(offline, CmpOp::Lt), side(realtime, CmpOp::Ge)])
     }
 
-    /// Scatter a query over one physical table and gather (§3.3.3).
-    /// `finalize_as` lets hybrid execution finalize with the original query.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_physical(
+    /// Scatter every side of one logical query and reduce it (§3.3.3):
+    /// each side (table, that side's query) is routed and pruned against
+    /// its own table into slices of one plan, every slice's intermediate
+    /// result merges into one accumulator, and `finalize` runs once with
+    /// the original `query`. So a hybrid query's AVG, DISTINCTCOUNT and
+    /// TOP see both sides' states before anything is finalized. A
+    /// one-slice plan (partition-aware routing's point, §4.4) runs inline
+    /// on the caller's thread; larger plans go through the pool.
+    fn scatter_gather(
         &self,
-        table: &str,
         query: &Arc<Query>,
+        sides: Vec<(String, Arc<Query>)>,
         tenant: &str,
         ctx: QueryCtx,
-        deadline: Instant,
-        finalize_as: Option<&Arc<Query>>,
         phases: &mut PhaseNanos,
     ) -> Result<QueryResponse> {
-        let phys_started = Instant::now();
+        let started = Instant::now();
         let (routed, _) = self.timed("broker.phase.route_ms", &mut phases.route, || {
-            self.route(table, query)
+            sides
+                .into_iter()
+                .map(|(table, side)| Ok((self.route(&table, &side)?, table, side)))
+                .collect::<Result<Vec<_>>>()
         });
-        let (plan, partition_skipped) = routed?;
-        let replicas = self.segment_replicas(table);
-
-        // Broker-level pruning: partition-routing exclusions become visible
-        // in the stats, and table-level zone maps (from segment metadata in
-        // the metastore) drop segments — and whole servers — that cannot
-        // match the filter before any RPC is issued.
         let mut skips = BrokerSkips::default();
-        if !partition_skipped.is_empty() {
-            self.obs
-                .metrics
-                .counter_add("prune.partition_segments", partition_skipped.len() as u64);
-            for seg in &partition_skipped {
-                skips.partition_segments += 1;
-                skips.partition_docs += self
-                    .segment_zone_maps(table, seg)
-                    .map(|(_, docs)| docs)
-                    .unwrap_or(0);
-            }
+        let mut plan: Vec<Slice> = Vec::new();
+        for ((routing, partition_skipped), table, side) in routed? {
+            self.plan_side(
+                table,
+                side,
+                routing,
+                &partition_skipped,
+                &mut skips,
+                &mut plan,
+            );
         }
-        let plan = self.prune_plan(table, query, plan, &mut skips);
 
-        let num_servers = plan.len() as u64;
-        self.obs
-            .metrics
-            .observe_ms("broker.routing.fanout", num_servers as f64);
-
-        // Fast path: a single-server plan (partition-aware routing's whole
-        // point, §4.4) runs inline — no scatter thread, no channel. This is
-        // what keeps the partitioned latency curve flat as QPS grows.
-        if plan.len() == 1 {
+        let mut g = Gather {
+            acc: IntermediateResult::empty_for(query),
+            pending: (0..plan.len()).collect(),
+            failed: HashSet::new(),
+            exceptions: Vec::new(),
+            server_wall_ns: HashMap::new(),
+        };
+        let (scatter_ns, gather_ns) = if let [slice] = plan.as_slice() {
+            // No scatter task, no channel: this is what keeps the
+            // partitioned latency curve flat as QPS grows.
             self.obs
                 .metrics
                 .counter_add("broker.routing.single_server_fastpath", 1);
-            let (server, segments) = plan.into_iter().next().expect("len checked");
-            let req = RoutedRequest {
-                table: table.to_string(),
-                query: Arc::clone(query),
-                segments: segments.clone(),
-                tenant: tenant.to_string(),
-                deadline: Some(deadline),
-                query_id: ctx.query_id,
-                profile: ctx.profile,
-                analyze: ctx.analyze,
-            };
-            let final_query = finalize_as.unwrap_or(query);
-            let mut acc = IntermediateResult::empty_for(final_query);
-            let mut exceptions = Vec::new();
-            let mut server_wall_ns: HashMap<String, u64> = HashMap::new();
-            let svc = self.executors.read().get(&server).cloned();
-            let call_started = Instant::now();
-            let outcome = match svc {
-                Some(svc) => guarded_execute(&*svc, &req),
-                None => Err(PinotError::Cluster(format!("no endpoint for {server}"))),
-            };
-            let mut responded = 0u64;
-            match outcome {
-                Ok(partial) => {
-                    responded = 1;
-                    self.observe_reply(&server, call_started.elapsed(), &mut server_wall_ns);
-                    acc.stats.per_server.push(ServerContribution {
-                        server: server.to_string(),
-                        responded: true,
-                        segments_processed: partial.stats.num_segments_processed,
-                        docs_scanned: partial.stats.num_docs_scanned,
-                        time_ms: partial.stats.time_used_ms,
-                        covered_by: Vec::new(),
-                    });
-                    merge_intermediate(&mut acc, partial)?;
+            let called = Instant::now();
+            let result = match self.endpoint(&slice.server) {
+                Some(svc) => {
+                    guarded_execute(&*svc, &slice.request(slice.segments.clone(), tenant, ctx))
                 }
-                Err(e) => {
-                    let mut failed: HashSet<InstanceId> = HashSet::new();
-                    failed.insert(server.clone());
-                    self.handle_server_failure(
-                        table,
-                        query,
-                        tenant,
-                        ctx,
-                        deadline,
-                        &server,
-                        e,
-                        &segments,
-                        &replicas,
-                        &mut failed,
-                        &mut acc,
-                        &mut exceptions,
-                    )?;
-                }
-            }
-            acc.stats.num_servers_queried = 1;
-            acc.stats.num_servers_responded = responded;
-            skips.apply(&mut acc.stats);
-            coalesce_per_server(&mut acc.stats.per_server);
-            let partial = !exceptions.is_empty();
-            let profile_nodes = acc.profile.take();
-            let stats = acc.stats.clone();
-            let (result, merge_ns) = self.timed("broker.phase.merge_ms", &mut phases.merge, || {
-                finalize(acc, final_query)
-            });
-            let result = result?;
-            let profile = ctx.profile.then(|| {
-                self.broker_profile(
-                    ctx,
-                    profile_nodes,
-                    &skips,
-                    &stats,
-                    &server_wall_ns,
-                    phys_started.elapsed().as_nanos() as u64,
-                    &[("merge", merge_ns)],
-                )
-            });
-            return Ok(QueryResponse {
+                None => Err(no_endpoint(&slice.server)),
+            };
+            let reply = ScatterReply {
+                slice: 0,
+                actual: slice.server.clone(),
                 result,
-                stats,
-                partial,
-                exceptions,
-                profile,
-            });
-        }
-
-        // Scatter: one worker per server; results stream into a channel
-        // along with the segment list each server was responsible for, so
-        // a failure can be re-routed to surviving replicas. Capacity fits
-        // every primary plus a potential hedge per slice, so no worker
-        // ever blocks on send.
-        let (tx, rx) = bounded::<ScatterReply>(plan.len().max(1) * 2);
-        let mut pending: BTreeMap<InstanceId, PendingSlice> = BTreeMap::new();
-        let scatter_started = Instant::now();
-        let ((), scatter_ns) = self.timed("broker.phase.scatter_ms", &mut phases.scatter, || {
-            for (server, segments) in plan {
-                pending.insert(
-                    server.clone(),
-                    PendingSlice {
-                        segments: segments.clone(),
-                        hedged: false,
-                    },
-                );
-                let Some(svc) = self.executors.read().get(&server).cloned() else {
-                    // Routing raced with a server death; report it as a failure.
-                    let _ = tx.send(ScatterReply {
-                        origin: server.clone(),
-                        actual: server.clone(),
-                        segments,
-                        result: Err(PinotError::Cluster(format!("no endpoint for {server}"))),
-                    });
-                    continue;
-                };
-                let req = RoutedRequest {
-                    table: table.to_string(),
-                    query: Arc::clone(query),
-                    segments: segments.clone(),
-                    tenant: tenant.to_string(),
-                    deadline: Some(deadline),
-                    query_id: ctx.query_id,
-                    profile: ctx.profile,
-                    analyze: ctx.analyze,
-                };
-                let tx = tx.clone();
-                let server_id = server.clone();
-                let task_deadline = pinot_taskpool::Deadline::at(Some(deadline));
-                self.pool
-                    .spawn_detached_with_deadline(&task_deadline, move || {
-                        let result = guarded_execute(&*svc, &req);
-                        // Past the scatter deadline the receiver is gone and
-                        // this send is a harmless no-op; the late partial is
-                        // dropped rather than written into freed state.
-                        let _ = tx.send(ScatterReply {
-                            origin: server_id.clone(),
-                            actual: server_id,
-                            segments,
-                            result,
-                        });
-                    });
-            }
-        });
-        // When hedging can fire we keep one sender until hedges are issued
-        // (they need it); without it the channel disconnects as soon as all
-        // primaries finish, exactly as before hedging existed.
-        let hedge_at: Option<Instant> = if self.config.hedge && !pending.is_empty() {
-            self.latency.healthy_quantile(0.99).map(|p99| {
-                scatter_started
-                    + Duration::from_secs_f64((p99 * HEDGE_DELAY_FACTOR).max(HEDGE_FLOOR_MS) / 1e3)
-            })
+            };
+            self.accept(&plan, &mut g, reply, called.elapsed(), tenant, ctx)?;
+            (0, 0)
         } else {
-            None
+            self.scatter(&plan, &mut g, tenant, ctx, phases)?
         };
-        let mut hedge_tx = hedge_at.map(|_| tx.clone());
-        drop(tx);
-
-        // Gather until every slice is answered or the deadline passes.
-        // Failed servers are recovered inline via surviving replicas while
-        // the remaining workers keep running; slices still outstanding at
-        // their hedge time are speculatively re-issued to a replica, and
-        // the first answer per slice wins.
-        let final_query = finalize_as.unwrap_or(query);
-        let mut acc = IntermediateResult::empty_for(final_query);
-        let mut exceptions = Vec::new();
-        let mut responded = 0u64;
-        let mut hedges_issued = 0u64;
-        let mut hedges_won = 0u64;
-        let mut failed: HashSet<InstanceId> = HashSet::new();
-        let mut server_wall_ns: HashMap<String, u64> = HashMap::new();
-        let (gather, gather_ns) = self.timed("broker.phase.gather_ms", &mut phases.gather, || {
-            while !pending.is_empty() {
-                let now = Instant::now();
-                if now >= deadline {
-                    self.obs.metrics.counter_add("broker.scatter.timeout", 1);
-                    exceptions.push(format!(
-                        "timeout waiting for {} server response(s)",
-                        pending.len()
-                    ));
-                    break;
-                }
-                // Hedge time: every still-pending slice gets one chance at
-                // a replica re-issue (first answer per slice wins).
-                if let (Some(h), Some(htx)) = (hedge_at, &hedge_tx) {
-                    if now >= h {
-                        let task_deadline = pinot_taskpool::Deadline::at(Some(deadline));
-                        for (origin, slice) in pending.iter_mut() {
-                            slice.hedged = true;
-                            let Some(target) =
-                                self.hedge_target(origin, &slice.segments, &replicas, &failed)
-                            else {
-                                continue;
-                            };
-                            let Some(svc) = self.executors.read().get(&target).cloned() else {
-                                continue;
-                            };
-                            hedges_issued += 1;
-                            self.obs.metrics.counter_add("broker.hedge_issued", 1);
-                            let req = RoutedRequest {
-                                table: table.to_string(),
-                                query: Arc::clone(query),
-                                segments: slice.segments.clone(),
-                                tenant: tenant.to_string(),
-                                deadline: Some(deadline),
-                                query_id: ctx.query_id,
-                                profile: ctx.profile,
-                                analyze: ctx.analyze,
-                            };
-                            let tx = htx.clone();
-                            let origin = origin.clone();
-                            let segments = slice.segments.clone();
-                            self.pool
-                                .spawn_detached_with_deadline(&task_deadline, move || {
-                                    let result = guarded_execute(&*svc, &req);
-                                    let _ = tx.send(ScatterReply {
-                                        origin,
-                                        actual: target,
-                                        segments,
-                                        result,
-                                    });
-                                });
-                        }
-                        hedge_tx = None;
-                    }
-                }
-                let wake = match (hedge_at, &hedge_tx) {
-                    (Some(h), Some(_)) if h < deadline => h.max(now),
-                    _ => deadline,
-                };
-                match rx.recv_timeout(wake.saturating_duration_since(now)) {
-                    Ok(reply) => {
-                        let is_hedge = reply.actual != reply.origin;
-                        if !pending.contains_key(&reply.origin) {
-                            // The slice was already answered by the other
-                            // contender — this is the discarded loser. It
-                            // must not touch acc/stats (satellite: no
-                            // double-counting at gather).
-                            if reply.result.is_ok() {
-                                self.obs.metrics.counter_add("broker.hedge_wasted", 1);
-                            }
-                            continue;
-                        }
-                        match reply.result {
-                            Ok(partial) => {
-                                pending.remove(&reply.origin);
-                                responded += 1;
-                                self.observe_reply(
-                                    &reply.actual,
-                                    scatter_started.elapsed(),
-                                    &mut server_wall_ns,
-                                );
-                                if is_hedge {
-                                    hedges_won += 1;
-                                    self.obs.metrics.counter_add("broker.hedge_won", 1);
-                                    // The straggler shows up as not having
-                                    // responded, covered by the hedge target
-                                    // — same shape failover uses.
-                                    acc.stats.per_server.push(ServerContribution {
-                                        server: reply.origin.to_string(),
-                                        responded: false,
-                                        covered_by: vec![reply.actual.to_string()],
-                                        ..Default::default()
-                                    });
-                                }
-                                acc.stats.per_server.push(ServerContribution {
-                                    server: reply.actual.to_string(),
-                                    responded: true,
-                                    segments_processed: partial.stats.num_segments_processed,
-                                    docs_scanned: partial.stats.num_docs_scanned,
-                                    time_ms: partial.stats.time_used_ms,
-                                    covered_by: Vec::new(),
-                                });
-                                merge_intermediate(&mut acc, partial)?;
-                            }
-                            Err(e) => {
-                                if is_hedge {
-                                    // A failed hedge never fails the slice:
-                                    // the primary is still running and may
-                                    // yet answer (or time out as before).
-                                    continue;
-                                }
-                                pending.remove(&reply.origin);
-                                failed.insert(reply.origin.clone());
-                                self.handle_server_failure(
-                                    table,
-                                    query,
-                                    tenant,
-                                    ctx,
-                                    deadline,
-                                    &reply.origin,
-                                    e,
-                                    &reply.segments,
-                                    &replicas,
-                                    &mut failed,
-                                    &mut acc,
-                                    &mut exceptions,
-                                )?;
-                            }
-                        }
-                    }
-                    // Woke at the hedge time (or a spurious early return):
-                    // loop back to issue hedges / re-check the deadline.
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    // Disconnected with replies still outstanding means the
-                    // remaining scatter workers were abandoned past the
-                    // deadline (their queued tasks dropped the sender) —
-                    // the same scatter timeout as the deadline arm.
-                    Err(RecvTimeoutError::Disconnected) => {
-                        self.obs.metrics.counter_add("broker.scatter.timeout", 1);
-                        exceptions.push(format!(
-                            "timeout waiting for {} server response(s)",
-                            pending.len()
-                        ));
-                        break;
-                    }
-                }
-            }
-            Ok::<(), PinotError>(())
-        });
-        gather?;
-        // Servers that never answered before the deadline: record them so a
-        // partial response says exactly which servers' data is missing.
-        for server in pending.keys() {
-            acc.stats.per_server.push(ServerContribution {
-                server: server.to_string(),
+        if !g.pending.is_empty() {
+            self.obs.metrics.counter_add("broker.scatter.timeout", 1);
+            g.exceptions.push(format!(
+                "timeout waiting for {} server response(s)",
+                g.pending.len()
+            ));
+        }
+        // Slices that never answered before the deadline: record their
+        // servers so a partial response says exactly whose data is missing.
+        for &i in &g.pending {
+            g.acc.stats.per_server.push(ServerContribution {
+                server: plan[i].server.to_string(),
                 ..Default::default()
             });
         }
-        acc.stats.hedges_issued = hedges_issued;
-        acc.stats.hedges_won = hedges_won;
 
-        acc.stats.num_servers_queried = num_servers;
-        acc.stats.num_servers_responded = responded;
+        let mut acc = g.acc;
+        acc.stats.num_servers_queried = plan.len() as u64;
         skips.apply(&mut acc.stats);
         coalesce_per_server(&mut acc.stats.per_server);
-        let partial = !exceptions.is_empty();
         let profile_nodes = acc.profile.take();
         let stats = acc.stats.clone();
         let (result, merge_ns) = self.timed("broker.phase.merge_ms", &mut phases.merge, || {
-            finalize(acc, final_query)
+            finalize(acc, query)
         });
         let result = result?;
         let profile = ctx.profile.then(|| {
@@ -922,8 +619,8 @@ impl Broker {
                 profile_nodes,
                 &skips,
                 &stats,
-                &server_wall_ns,
-                phys_started.elapsed().as_nanos() as u64,
+                &g.server_wall_ns,
+                started.elapsed().as_nanos() as u64,
                 &[
                     ("scatter", scatter_ns),
                     ("gather", gather_ns),
@@ -934,17 +631,253 @@ impl Broker {
         Ok(QueryResponse {
             result,
             stats,
-            partial,
-            exceptions,
+            partial: !g.exceptions.is_empty(),
+            exceptions: g.exceptions,
             profile,
         })
     }
 
-    /// Assemble the cluster-wide profile root for one physical-table
-    /// scatter: this side's phase timings, a per-server
-    /// network+queue breakdown (broker-observed wall clock minus the
-    /// server's own reported time), broker-level prune summaries, and the
-    /// servers' trees underneath.
+    /// Scatter every slice of `plan` as a pool task and gather the replies
+    /// into `g` until every slice is answered or the deadline passes.
+    /// Failed servers are recovered inline via surviving replicas while
+    /// the remaining workers keep running; slices still outstanding at
+    /// their hedge time are speculatively re-issued to a replica, and the
+    /// first answer per slice wins. Returns the scatter and gather wall
+    /// times in nanoseconds.
+    fn scatter(
+        &self,
+        plan: &[Slice],
+        g: &mut Gather,
+        tenant: &str,
+        ctx: QueryCtx,
+        phases: &mut PhaseNanos,
+    ) -> Result<(u64, u64)> {
+        // Capacity fits every primary plus a potential hedge per slice, so
+        // no worker ever blocks on send.
+        let (tx, rx) = bounded::<ScatterReply>(plan.len().max(1) * 2);
+        let started = Instant::now();
+        let ((), scatter_ns) = self.timed("broker.phase.scatter_ms", &mut phases.scatter, || {
+            for (i, slice) in plan.iter().enumerate() {
+                let Some(svc) = self.endpoint(&slice.server) else {
+                    // Routing raced with a server death; report it as a failure.
+                    let _ = tx.send(ScatterReply {
+                        slice: i,
+                        actual: slice.server.clone(),
+                        result: Err(no_endpoint(&slice.server)),
+                    });
+                    continue;
+                };
+                let req = slice.request(slice.segments.clone(), tenant, ctx);
+                self.spawn_call(svc, req, i, slice.server.clone(), &tx, ctx);
+            }
+        });
+        // When hedging can fire we keep one sender until hedges are issued
+        // (they need it); without it the channel disconnects as soon as all
+        // primaries finish.
+        let hedge_at: Option<Instant> = if self.config.hedge && !plan.is_empty() {
+            self.latency.healthy_quantile(0.99).map(|p99| {
+                started
+                    + Duration::from_secs_f64((p99 * HEDGE_DELAY_FACTOR).max(HEDGE_FLOOR_MS) / 1e3)
+            })
+        } else {
+            None
+        };
+        let mut hedge_tx = hedge_at.map(|_| tx.clone());
+        drop(tx);
+
+        let (gathered, gather_ns) =
+            self.timed("broker.phase.gather_ms", &mut phases.gather, || {
+                while !g.pending.is_empty() {
+                    let now = Instant::now();
+                    if now >= ctx.deadline {
+                        break;
+                    }
+                    if hedge_at.is_some_and(|h| now >= h) {
+                        if let Some(htx) = hedge_tx.take() {
+                            self.issue_hedges(plan, g, &htx, tenant, ctx);
+                        }
+                    }
+                    let wake = match (hedge_at, &hedge_tx) {
+                        (Some(h), Some(_)) if h < ctx.deadline => h.max(now),
+                        _ => ctx.deadline,
+                    };
+                    match rx.recv_timeout(wake.saturating_duration_since(now)) {
+                        Ok(reply) => self.accept(plan, g, reply, started.elapsed(), tenant, ctx)?,
+                        // Woke at the hedge time (or a spurious early return):
+                        // loop back to issue hedges / re-check the deadline.
+                        Err(RecvTimeoutError::Timeout) => continue,
+                        // Disconnected with replies still outstanding means the
+                        // remaining scatter workers were abandoned past the
+                        // deadline (their queued tasks dropped the sender): the
+                        // same scatter timeout as the deadline.
+                        Err(RecvTimeoutError::Disconnected) => break,
+                    }
+                }
+                Ok::<(), PinotError>(())
+            });
+        gathered?;
+        Ok((scatter_ns, gather_ns))
+    }
+
+    /// Give every still-pending slice one speculative re-issue to a
+    /// replica that holds all of its segments.
+    fn issue_hedges(
+        &self,
+        plan: &[Slice],
+        g: &mut Gather,
+        tx: &Sender<ScatterReply>,
+        tenant: &str,
+        ctx: QueryCtx,
+    ) {
+        for &i in &g.pending {
+            let slice = &plan[i];
+            let Some(target) = self.hedge_target(slice, &g.failed) else {
+                continue;
+            };
+            let Some(svc) = self.endpoint(&target) else {
+                continue;
+            };
+            g.acc.stats.hedges_issued += 1;
+            self.obs.metrics.counter_add("broker.hedge_issued", 1);
+            let req = slice.request(slice.segments.clone(), tenant, ctx);
+            self.spawn_call(svc, req, i, target, tx, ctx);
+        }
+    }
+
+    /// Turn one side's routing table into slices of `plan`. Broker-level
+    /// pruning happens here: partition-routing exclusions become visible
+    /// in the stats, and table-level zone maps (from segment metadata in
+    /// the metastore) drop segments — and whole servers — that cannot
+    /// match the side's filter before any RPC is issued.
+    fn plan_side(
+        &self,
+        table: String,
+        query: Arc<Query>,
+        routing: RoutingTable,
+        partition_skipped: &[String],
+        skips: &mut BrokerSkips,
+        plan: &mut Vec<Slice>,
+    ) {
+        if !partition_skipped.is_empty() {
+            self.obs
+                .metrics
+                .counter_add("prune.partition_segments", partition_skipped.len() as u64);
+            for seg in partition_skipped {
+                skips.partition_segments += 1;
+                skips.partition_docs += self
+                    .segment_zone_maps(&table, seg)
+                    .map(|(_, docs)| docs)
+                    .unwrap_or(0);
+            }
+        }
+        let routing = self.prune_plan(&table, &query, routing, skips);
+        self.obs
+            .metrics
+            .observe_ms("broker.routing.fanout", routing.len() as f64);
+        let replicas = self.segment_replicas(&table);
+        for (server, segments) in routing {
+            plan.push(Slice {
+                table: table.clone(),
+                query: Arc::clone(&query),
+                replicas: Arc::clone(&replicas),
+                server,
+                segments,
+            });
+        }
+    }
+
+    /// Handle one reply — the inline call's or a gathered one — for the
+    /// slice it names: merge an answer into the accumulator, or fail the
+    /// slice over to surviving replicas. A reply for a slice that is
+    /// already settled is the losing contender of a hedge race and is
+    /// dropped; a failed hedge never fails its slice, because the primary
+    /// may still answer.
+    fn accept(
+        &self,
+        plan: &[Slice],
+        g: &mut Gather,
+        reply: ScatterReply,
+        wall: Duration,
+        tenant: &str,
+        ctx: QueryCtx,
+    ) -> Result<()> {
+        let slice = &plan[reply.slice];
+        let is_hedge = reply.actual != slice.server;
+        if !g.pending.contains(&reply.slice) {
+            if reply.result.is_ok() {
+                self.obs.metrics.counter_add("broker.hedge_wasted", 1);
+            }
+            return Ok(());
+        }
+        match reply.result {
+            Ok(partial) => {
+                g.pending.remove(&reply.slice);
+                g.acc.stats.num_servers_responded += 1;
+                self.observe_reply(&reply.actual, wall, &mut g.server_wall_ns);
+                if is_hedge {
+                    g.acc.stats.hedges_won += 1;
+                    self.obs.metrics.counter_add("broker.hedge_won", 1);
+                    // The straggler shows up as not having responded,
+                    // covered by the hedge target — same shape failover
+                    // uses.
+                    g.acc.stats.per_server.push(ServerContribution {
+                        server: slice.server.to_string(),
+                        responded: false,
+                        covered_by: vec![reply.actual.to_string()],
+                        ..Default::default()
+                    });
+                }
+                g.acc
+                    .stats
+                    .per_server
+                    .push(served_by(&reply.actual, &partial));
+                merge_intermediate(&mut g.acc, partial)
+            }
+            Err(_) if is_hedge => Ok(()),
+            Err(e) => {
+                g.pending.remove(&reply.slice);
+                g.failed.insert(slice.server.clone());
+                self.handle_server_failure(slice, e, tenant, ctx, g)
+            }
+        }
+    }
+
+    /// The registered endpoint of `server`, if it has one.
+    fn endpoint(&self, server: &InstanceId) -> Option<Arc<dyn SegmentQueryService>> {
+        self.executors.read().get(server).cloned()
+    }
+
+    /// Run `req` on `svc` as a detached pool task that replies for plan
+    /// slice `slice` on `tx`, naming `actual` as the executor.
+    fn spawn_call(
+        &self,
+        svc: Arc<dyn SegmentQueryService>,
+        req: RoutedRequest,
+        slice: usize,
+        actual: InstanceId,
+        tx: &Sender<ScatterReply>,
+        ctx: QueryCtx,
+    ) {
+        let tx = tx.clone();
+        let task_deadline = pinot_taskpool::Deadline::at(Some(ctx.deadline));
+        self.pool
+            .spawn_detached_with_deadline(&task_deadline, move || {
+                let result = guarded_execute(&*svc, &req);
+                // Past the scatter deadline the receiver is gone and this
+                // send is a harmless no-op; the late partial is dropped
+                // rather than written into freed state.
+                let _ = tx.send(ScatterReply {
+                    slice,
+                    actual,
+                    result,
+                });
+            });
+    }
+
+    /// Assemble the cluster-wide profile root for one query: its phase
+    /// timings, a per-server network+queue breakdown (broker-observed wall
+    /// clock minus the server's own reported time), broker-level prune
+    /// summaries, and the servers' trees underneath.
     #[allow(clippy::too_many_arguments)]
     fn broker_profile(
         &self,
@@ -983,20 +916,14 @@ impl Broker {
         }
     }
 
-    /// Deterministic hedge target for a straggling server's slice: the
-    /// first (sorted) live registered replica, other than the origin, that
-    /// holds *every* segment of the slice — a hedge re-issues the exact
-    /// slice, so a partial holder cannot serve it.
-    fn hedge_target(
-        &self,
-        origin: &InstanceId,
-        segments: &[String],
-        replicas: &SegmentReplicas,
-        failed: &HashSet<InstanceId>,
-    ) -> Option<InstanceId> {
+    /// Deterministic hedge target for a straggling slice: the first
+    /// (sorted) live registered replica, other than the slice's server,
+    /// that holds *every* segment of the slice — a hedge re-issues the
+    /// exact slice, so a partial holder cannot serve it.
+    fn hedge_target(&self, slice: &Slice, failed: &HashSet<InstanceId>) -> Option<InstanceId> {
         let mut candidates: Option<BTreeSet<InstanceId>> = None;
-        for seg in segments {
-            let holders: BTreeSet<InstanceId> = replicas.get(seg)?.iter().cloned().collect();
+        for seg in &slice.segments {
+            let holders: BTreeSet<InstanceId> = slice.replicas.get(seg)?.iter().cloned().collect();
             candidates = Some(match candidates {
                 None => holders,
                 Some(c) => c.intersection(&holders).cloned().collect(),
@@ -1005,34 +932,25 @@ impl Broker {
         let executors = self.executors.read();
         candidates?
             .into_iter()
-            .find(|c| c != origin && !failed.contains(c) && executors.contains_key(c))
+            .find(|c| *c != slice.server && !failed.contains(c) && executors.contains_key(c))
     }
 
-    /// One routed server failed. If the error is transient, re-route its
-    /// segment list to surviving replicas (deadline permitting); only what
-    /// no replica can serve becomes an exception — naming the failed
+    /// A slice's server failed. If the error is transient, re-route the
+    /// slice's segments to surviving replicas (deadline permitting); only
+    /// what no replica can serve becomes an exception — naming the failed
     /// server — and makes the response partial (§3.3.3 step 7, upgraded
     /// from "any failure is partial" to "only unrecoverable loss is").
-    #[allow(clippy::too_many_arguments)]
     fn handle_server_failure(
         &self,
-        table: &str,
-        query: &Arc<Query>,
+        slice: &Slice,
+        error: PinotError,
         tenant: &str,
         ctx: QueryCtx,
-        deadline: Instant,
-        server: &InstanceId,
-        error: PinotError,
-        segments: &[String],
-        replicas: &SegmentReplicas,
-        failed: &mut HashSet<InstanceId>,
-        acc: &mut IntermediateResult,
-        exceptions: &mut Vec<String>,
+        g: &mut Gather,
     ) -> Result<()> {
+        let segments = &slice.segments;
         let outcome = if error.is_retriable() && !segments.is_empty() {
-            self.failover_recover(
-                table, query, tenant, ctx, deadline, segments, replicas, failed, acc,
-            )?
+            self.failover_recover(slice, tenant, ctx, &mut g.failed, &mut g.acc)?
         } else {
             FailoverOutcome {
                 covered_by: Vec::new(),
@@ -1044,14 +962,15 @@ impl Broker {
                 .metrics
                 .counter_add("broker.scatter.failover_success", 1);
         } else {
-            exceptions.push(format!(
-                "{server}: {error} ({} of {} segment(s) unrecoverable)",
+            g.exceptions.push(format!(
+                "{}: {error} ({} of {} segment(s) unrecoverable)",
+                slice.server,
                 outcome.lost.len(),
                 segments.len().max(1)
             ));
         }
-        acc.stats.per_server.push(ServerContribution {
-            server: server.to_string(),
+        g.acc.stats.per_server.push(ServerContribution {
+            server: slice.server.to_string(),
             responded: false,
             covered_by: outcome.covered_by,
             ..Default::default()
@@ -1059,85 +978,56 @@ impl Broker {
         Ok(())
     }
 
-    /// Re-route `segments` to surviving replicas with deadline-budgeted
-    /// backoff. Recovered results merge into `acc` (with per-server
-    /// contributions for the covering replicas); returns who covered and
-    /// which segments no live replica could serve. Replicas that fail
-    /// during recovery join `failed` so later failovers skip them too.
-    #[allow(clippy::too_many_arguments)]
+    /// Re-route a failed slice's segments to surviving replicas with
+    /// deadline-budgeted backoff. Recovered results merge into `acc` (with
+    /// per-server contributions for the covering replicas); returns who
+    /// covered and which segments no live replica could serve. Replicas
+    /// that fail during recovery join `failed` so later failovers skip
+    /// them too.
     fn failover_recover(
         &self,
-        table: &str,
-        query: &Arc<Query>,
+        slice: &Slice,
         tenant: &str,
         ctx: QueryCtx,
-        deadline: Instant,
-        segments: &[String],
-        replicas: &SegmentReplicas,
         failed: &mut HashSet<InstanceId>,
         acc: &mut IntermediateResult,
     ) -> Result<FailoverOutcome> {
-        let mut remaining: Vec<String> = segments.to_vec();
+        let mut remaining: Vec<String> = slice.segments.clone();
         let mut covered_by: Vec<String> = Vec::new();
         for attempt in 1..=self.retry.max_attempts {
             // Group what's left by the first surviving replica of each
             // segment (replica lists are sorted, so this is deterministic).
             let mut by_server: BTreeMap<InstanceId, Vec<String>> = BTreeMap::new();
-            let mut lost: Vec<String> = Vec::new();
             for seg in &remaining {
-                let survivor = replicas
+                let survivor = slice
+                    .replicas
                     .get(seg)
                     .and_then(|rs| rs.iter().find(|r| !failed.contains(*r)));
-                match survivor {
-                    Some(r) => by_server.entry(r.clone()).or_default().push(seg.clone()),
-                    None => lost.push(seg.clone()),
+                if let Some(r) = survivor {
+                    by_server.entry(r.clone()).or_default().push(seg.clone());
                 }
             }
             if by_server.is_empty() {
-                return Ok(FailoverOutcome {
-                    covered_by,
-                    lost: remaining,
-                });
+                break;
             }
             // The backoff must fit in what's left of the query's deadline;
             // if it doesn't, the un-recovered segments are lost.
             let delay = Duration::from_millis(self.retry.delay_ms(attempt));
-            if Instant::now() + delay >= deadline {
-                return Ok(FailoverOutcome {
-                    covered_by,
-                    lost: remaining,
-                });
+            if Instant::now() + delay >= ctx.deadline {
+                break;
             }
             if !delay.is_zero() {
                 std::thread::sleep(delay);
             }
             self.obs.metrics.counter_add("broker.scatter.retry", 1);
             for (replica, segs) in by_server {
-                let svc = self.executors.read().get(&replica).cloned();
-                let Some(svc) = svc else {
+                let Some(svc) = self.endpoint(&replica) else {
                     failed.insert(replica);
                     continue;
                 };
-                let req = RoutedRequest {
-                    table: table.to_string(),
-                    query: Arc::clone(query),
-                    segments: segs.clone(),
-                    tenant: tenant.to_string(),
-                    deadline: Some(deadline),
-                    query_id: ctx.query_id,
-                    profile: ctx.profile,
-                    analyze: ctx.analyze,
-                };
-                match guarded_execute(&*svc, &req) {
+                match guarded_execute(&*svc, &slice.request(segs.clone(), tenant, ctx)) {
                     Ok(partial) => {
-                        acc.stats.per_server.push(ServerContribution {
-                            server: replica.to_string(),
-                            responded: true,
-                            segments_processed: partial.stats.num_segments_processed,
-                            docs_scanned: partial.stats.num_docs_scanned,
-                            time_ms: partial.stats.time_used_ms,
-                            covered_by: Vec::new(),
-                        });
+                        acc.stats.per_server.push(served_by(&replica, &partial));
                         merge_intermediate(acc, partial)?;
                         covered_by.push(replica.to_string());
                         remaining.retain(|s| !segs.contains(s));
@@ -1150,10 +1040,7 @@ impl Broker {
                 }
             }
             if remaining.is_empty() {
-                return Ok(FailoverOutcome {
-                    covered_by,
-                    lost: Vec::new(),
-                });
+                break;
             }
         }
         Ok(FailoverOutcome {
@@ -1417,11 +1304,13 @@ impl Broker {
         Some((zone_maps, docs))
     }
 
+    /// A table's time column, parsed from its schema once. A failed read
+    /// (config or schema not published yet) is not cached.
     fn time_column_cached(&self, table: &str) -> Option<String> {
         if let Some(cached) = self.time_column_cache.lock().get(table) {
             return cached.clone();
         }
-        let time_column = self.table_time_column(table).ok().flatten();
+        let time_column = self.table_time_column(table).ok()?;
         self.time_column_cache
             .lock()
             .insert(table.to_string(), time_column.clone());
@@ -1497,11 +1386,6 @@ impl Broker {
     }
 }
 
-/// Result of one failover attempt for a failed server's segment list.
-/// Run a server call with panic capture. A panicking server maps to a
-/// retriable I/O error so the normal failover path covers it, rather than
-/// poisoning the scatter worker (or, pre-pool, silently killing the
-/// scatter thread and leaving its slot forever pending).
 /// Decode one column's zone map from segment metadata JSON — the inverse of
 /// the controller's string encoding (bounds are strings because JSON
 /// numbers are f64 and would corrupt i64 bounds past 2^53).
@@ -1529,6 +1413,9 @@ fn parse_zone_bound(s: &str, data_type: DataType) -> Option<Value> {
     }
 }
 
+/// Run a server call with panic capture. A panicking server maps to a
+/// retriable I/O error so the normal failover path covers it, rather than
+/// poisoning the scatter worker.
 fn guarded_execute(
     svc: &dyn SegmentQueryService,
     req: &RoutedRequest,
@@ -1546,6 +1433,25 @@ fn guarded_execute(
     }
 }
 
+/// The per-server contribution of a replica that answered `partial`.
+fn served_by(server: &InstanceId, partial: &IntermediateResult) -> ServerContribution {
+    ServerContribution {
+        server: server.to_string(),
+        responded: true,
+        segments_processed: partial.stats.num_segments_processed,
+        docs_scanned: partial.stats.num_docs_scanned,
+        time_ms: partial.stats.time_used_ms,
+        covered_by: Vec::new(),
+    }
+}
+
+/// The error for a routed server that has no registered endpoint (routing
+/// raced with its death).
+fn no_endpoint(server: &InstanceId) -> PinotError {
+    PinotError::Cluster(format!("no endpoint for {server}"))
+}
+
+/// Result of one failover attempt for a failed slice's segment list.
 struct FailoverOutcome {
     /// Replicas that successfully served part of the failed server's share.
     covered_by: Vec<String>,
@@ -1620,128 +1526,6 @@ fn partition_filter_values(pred: Option<&Predicate>, column: &str) -> Option<Vec
     pred.and_then(|p| from(p, column))
 }
 
-/// Merge two finalized results (hybrid offline + realtime sides).
-/// Aggregations combine by function; selections concatenate.
-fn merge_results(
-    a: pinot_common::query::QueryResult,
-    b: pinot_common::query::QueryResult,
-    query: &Query,
-) -> Result<pinot_common::query::QueryResult> {
-    use pinot_common::query::{AggregationRow, GroupByRows, QueryResult};
-    match (a, b) {
-        (QueryResult::Aggregation(x), QueryResult::Aggregation(y)) => {
-            if x.is_empty() {
-                return Ok(QueryResult::Aggregation(y));
-            }
-            if y.is_empty() {
-                return Ok(QueryResult::Aggregation(x));
-            }
-            let merged: Vec<AggregationRow> = x
-                .into_iter()
-                .zip(y)
-                .map(|(ra, rb)| merge_agg_rows(ra, rb))
-                .collect::<Result<_>>()?;
-            Ok(QueryResult::Aggregation(merged))
-        }
-        (QueryResult::GroupBy(x), QueryResult::GroupBy(y)) => {
-            let mut merged = Vec::with_capacity(x.len());
-            for (ta, tb) in x.into_iter().zip(y) {
-                let function = ta.function.clone();
-                let group_columns = ta.group_columns.clone();
-                let mut rows: BTreeMap<String, (Vec<Value>, f64)> = BTreeMap::new();
-                for (key, value) in ta.rows.into_iter().chain(tb.rows) {
-                    let k = format!("{key:?}");
-                    let v = value.as_f64().unwrap_or(f64::NEG_INFINITY);
-                    rows.entry(k)
-                        .and_modify(|(_, acc)| *acc = combine_by_function(&function, *acc, v))
-                        .or_insert((key, v));
-                }
-                let mut out: Vec<(Vec<Value>, f64)> = rows.into_values().collect();
-                out.sort_by(|a, b| b.1.total_cmp(&a.1));
-                out.truncate(query.effective_top());
-                // COUNT/DISTINCTCOUNT finalize as Long on the single-table
-                // path; the hybrid merge must produce the same type.
-                let integral =
-                    function.starts_with("count") || function.starts_with("distinctcount");
-                merged.push(GroupByRows {
-                    function,
-                    group_columns,
-                    rows: out
-                        .into_iter()
-                        .map(|(k, v)| {
-                            let v = if integral {
-                                Value::Long(v as i64)
-                            } else {
-                                Value::Double(v)
-                            };
-                            (k, v)
-                        })
-                        .collect(),
-                });
-            }
-            Ok(QueryResult::GroupBy(merged))
-        }
-        (
-            QueryResult::Selection { columns, mut rows },
-            QueryResult::Selection { rows: more, .. },
-        ) => {
-            rows.extend(more);
-            rows.truncate(query.effective_limit());
-            Ok(QueryResult::Selection { columns, rows })
-        }
-        _ => Err(PinotError::Internal(
-            "hybrid sides returned mismatched result shapes".into(),
-        )),
-    }
-}
-
-fn merge_agg_rows(
-    a: pinot_common::query::AggregationRow,
-    b: pinot_common::query::AggregationRow,
-) -> Result<pinot_common::query::AggregationRow> {
-    use pinot_common::query::AggregationRow;
-    let f = a.function.clone();
-    let value = match (a.value.as_f64(), b.value.as_f64()) {
-        (Some(x), Some(y)) => {
-            let merged = combine_by_function(&f, x, y);
-            if f.starts_with("count") || f.starts_with("distinctcount") {
-                Value::Long(merged as i64)
-            } else {
-                Value::Double(merged)
-            }
-        }
-        (Some(_), None) => a.value.clone(),
-        (None, Some(_)) => b.value.clone(),
-        (None, None) => Value::Null,
-    };
-    Ok(AggregationRow { function: f, value })
-}
-
-/// Combine two already-finalized aggregate values by function name.
-///
-/// AVG and DISTINCTCOUNT cannot be merged exactly once finalized — hybrid
-/// AVG approximates by averaging the two sides and hybrid DISTINCTCOUNT
-/// adds them (an upper bound). Non-hybrid queries merge intermediate
-/// states and stay exact; this only affects queries spanning the hybrid
-/// time boundary, matching the resolution loss the paper accepts for
-/// boundary-spanning preaggregation.
-fn combine_by_function(function: &str, a: f64, b: f64) -> f64 {
-    if function.starts_with("sum")
-        || function.starts_with("count")
-        || function.starts_with("distinctcount")
-    {
-        a + b
-    } else if function.starts_with("min") {
-        a.min(b)
-    } else if function.starts_with("max") {
-        a.max(b)
-    } else if function.starts_with("avg") {
-        (a + b) / 2.0
-    } else {
-        a + b
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1791,14 +1575,5 @@ mod tests {
         assert_eq!(partition_filter_values(q.filter.as_ref(), "user"), None);
         let q = parse("SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(partition_filter_values(q.filter.as_ref(), "user"), None);
-    }
-
-    #[test]
-    fn combine_functions() {
-        assert_eq!(combine_by_function("sum(m)", 2.0, 3.0), 5.0);
-        assert_eq!(combine_by_function("count(*)", 2.0, 3.0), 5.0);
-        assert_eq!(combine_by_function("min(m)", 2.0, 3.0), 2.0);
-        assert_eq!(combine_by_function("max(m)", 2.0, 3.0), 3.0);
-        assert_eq!(combine_by_function("avg(m)", 2.0, 4.0), 3.0);
     }
 }

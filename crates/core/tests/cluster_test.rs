@@ -7,6 +7,7 @@ use pinot_common::ids::TableType;
 use pinot_common::query::{QueryRequest, QueryResult};
 use pinot_common::time::Clock;
 use pinot_common::{DataType, FieldSpec, Record, Schema, TimeUnit, Value};
+use pinot_core::chaos::{sites, Fault, FaultScope};
 use pinot_core::{ClusterConfig, PinotCluster};
 use pinot_minion::PurgeSpec;
 
@@ -240,6 +241,162 @@ fn hybrid_table_time_boundary() {
     // A filter wholly at/after the boundary only touches realtime data.
     let resp = cluster.query("SELECT COUNT(*) FROM views WHERE day = 102");
     assert_eq!(count_of(&resp), 20);
+}
+
+/// A hybrid `views` table on `servers` servers: `offline` rows uploaded
+/// in 10-row segments at `offline_replication`, `realtime` rows produced
+/// into a one-partition stream and consumed.
+fn hybrid_views(
+    servers: usize,
+    offline_replication: usize,
+    offline: Vec<Record>,
+    realtime: Vec<Record>,
+) -> PinotCluster {
+    let cluster = PinotCluster::start(ClusterConfig::default().with_servers(servers)).unwrap();
+    cluster.streams().create_topic("view-events", 1).unwrap();
+    cluster
+        .create_table(
+            TableConfig::offline("views").with_replication(offline_replication),
+            schema(),
+        )
+        .unwrap();
+    cluster
+        .create_table(
+            TableConfig::realtime(
+                "views",
+                StreamConfig {
+                    topic: "view-events".into(),
+                    flush_threshold_rows: 1_000,
+                    flush_threshold_millis: i64::MAX / 4,
+                },
+            ),
+            schema(),
+        )
+        .unwrap();
+    for chunk in offline.chunks(10) {
+        cluster.upload_rows("views", chunk.to_vec()).unwrap();
+    }
+    for (i, r) in realtime.into_iter().enumerate() {
+        cluster
+            .produce("view-events", &Value::Long(i as i64), r)
+            .unwrap();
+    }
+    cluster.consume_until_idle().unwrap();
+    cluster
+}
+
+/// The answer's one aggregation value whose function starts with `prefix`.
+fn agg_value(resp: &pinot_common::query::QueryResponse, prefix: &str) -> Value {
+    assert!(!resp.partial, "{:?}", resp.exceptions);
+    match &resp.result {
+        QueryResult::Aggregation(rows) => rows
+            .iter()
+            .find(|r| r.function.starts_with(prefix))
+            .map(|r| r.value.clone())
+            .unwrap_or_else(|| panic!("no {prefix} in {rows:?}")),
+        other => panic!("{other:?}"),
+    }
+}
+
+/// 30 visible offline `us` rows (clicks 1) and 10 realtime `us` rows
+/// (clicks 10) over viewers {0, 1, 2} on both sides, plus 5 offline rows
+/// at the boundary day that realtime shadows. The second element is the
+/// realtime rows.
+fn motivation_rows() -> (Vec<Record>, Vec<Record>) {
+    let mut offline: Vec<Record> = (0..30).map(|i| row(i % 3, "us", 1, 100)).collect();
+    offline.extend((0..5).map(|_| row(7, "us", 100, 101)));
+    let realtime = (0..10).map(|i| row(i % 3, "us", 10, 101 + i % 2)).collect();
+    (offline, realtime)
+}
+
+/// Hybrid AVG, DISTINCTCOUNT and TOP are reduced from both sides'
+/// intermediate states: averaging two finalized AVGs, adding two
+/// DISTINCTCOUNTs or merging two top-1 lists each gives a wrong answer.
+#[test]
+fn hybrid_reduce_is_exact() {
+    let (mut offline, mut realtime) = motivation_rows();
+    // `x` is second on each side and first overall.
+    offline.extend((0..10).map(|_| row(50, "a", 0, 100)));
+    offline.extend((0..9).map(|_| row(50, "x", 0, 100)));
+    realtime.extend((0..10).map(|_| row(50, "b", 0, 102)));
+    realtime.extend((0..9).map(|_| row(50, "x", 0, 102)));
+    let cluster = hybrid_views(2, 1, offline, realtime);
+
+    let resp = cluster.query("SELECT AVG(clicks) FROM views WHERE country = 'us'");
+    assert_eq!(agg_value(&resp, "avg"), Value::Double(130.0 / 40.0));
+    let resp = cluster.query("SELECT DISTINCTCOUNT(viewer) FROM views WHERE country = 'us'");
+    assert_eq!(agg_value(&resp, "distinctcount"), Value::Long(3));
+
+    let top = |n: usize| {
+        let resp = cluster.query(&format!(
+            "SELECT COUNT(*) FROM views WHERE country != 'us' GROUP BY country TOP {n}"
+        ));
+        assert!(!resp.partial, "{:?}", resp.exceptions);
+        match resp.result {
+            QueryResult::GroupBy(tables) => tables[0].rows.clone(),
+            other => panic!("{other:?}"),
+        }
+    };
+    let group = |country: &str, n: i64| (vec![Value::from(country)], Value::Long(n));
+    assert_eq!(top(1), vec![group("x", 18)]);
+    assert_eq!(top(3), vec![group("x", 18), group("a", 10), group("b", 10)]);
+}
+
+/// On one server both sides' slices go to the same instance: the answer
+/// is exact, each slice counts as a queried server (as when the sides
+/// were separate responses), and the per-server stats name it once. A
+/// filter the offline side cannot match leaves a one-slice plan.
+#[test]
+fn hybrid_sides_on_one_server() {
+    let (offline, realtime) = motivation_rows();
+    let cluster = hybrid_views(1, 1, offline, realtime);
+
+    let resp = cluster.query("SELECT COUNT(*), SUM(clicks), AVG(clicks) FROM views");
+    assert_eq!(agg_value(&resp, "count"), Value::Long(40));
+    assert_eq!(agg_value(&resp, "sum"), Value::Double(130.0));
+    assert_eq!(agg_value(&resp, "avg"), Value::Double(3.25));
+    assert_eq!(resp.stats.num_servers_queried, 2);
+    assert_eq!(resp.stats.num_servers_responded, 2);
+    assert_eq!(
+        resp.stats.per_server.len(),
+        1,
+        "{:?}",
+        resp.stats.per_server
+    );
+    assert!(resp.stats.per_server[0].responded);
+
+    let resp = cluster.query("SELECT COUNT(*), AVG(clicks) FROM views WHERE day = 102");
+    assert_eq!(agg_value(&resp, "count"), Value::Long(5));
+    assert_eq!(agg_value(&resp, "avg"), Value::Double(10.0));
+    assert_eq!(resp.stats.num_servers_queried, 1);
+}
+
+/// A server that holds only offline replicas crashes when its offline
+/// slice reaches it: the slice fails over to the other replica with its
+/// own side's query and table, and the hybrid answer stays complete.
+#[test]
+fn hybrid_failover_recovers_offline_slice() {
+    let (offline, realtime) = motivation_rows();
+    let cluster = hybrid_views(2, 2, offline, realtime);
+    let view = |table: &str| cluster.cluster_manager().routable_view(table);
+    let realtime_servers = view("views_REALTIME");
+    let victim = view("views_OFFLINE")
+        .into_keys()
+        .find(|s| !realtime_servers.contains_key(s))
+        .expect("one server holds no realtime replica")
+        .to_string();
+    cluster.chaos().arm(
+        sites::SERVER_EXECUTE,
+        Fault::crash().with_scope(FaultScope::any().instance(victim)),
+    );
+
+    let resp = cluster.query("SELECT COUNT(*), SUM(clicks), AVG(clicks) FROM views");
+    let snap = cluster.metrics_snapshot();
+    assert_eq!(snap.counter("chaos.fault.injected"), 1, "crash never fired");
+    assert!(snap.counter("broker.scatter.failover_success") >= 1);
+    assert_eq!(agg_value(&resp, "count"), Value::Long(40));
+    assert_eq!(agg_value(&resp, "sum"), Value::Double(130.0));
+    assert_eq!(agg_value(&resp, "avg"), Value::Double(3.25));
 }
 
 #[test]

@@ -743,8 +743,11 @@ fn eval_scan(
                 &all
             }
         };
-        let mut ids: Vec<DictId> = Vec::with_capacity(crate::selection::BLOCK_SIZE);
-        let mut matched: Vec<u32> = vec![0; crate::selection::BLOCK_SIZE];
+        // No block is longer than the selection, so a small running
+        // selection needs only that much scratch.
+        let scratch = crate::selection::BLOCK_SIZE.min(sel.count() as usize);
+        let mut ids: Vec<DictId> = Vec::with_capacity(scratch);
+        let mut matched: Vec<u32> = vec![0; scratch];
         sel.for_each_block(|block| {
             crate::batch::decode_block(col, &block, &mut ids);
             // Branchless select: write the doc id unconditionally, bump

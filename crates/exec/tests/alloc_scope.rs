@@ -9,6 +9,7 @@
 //! less than a quarter of `d`'s dictionary: nothing may copy or index
 //! the dictionary per query.
 
+use pinot_common::query::ExecutionStats;
 use pinot_common::{DataType, FieldSpec, Record, Schema, Value};
 use pinot_exec::segment_exec::{execute_on_segment, SegmentHandle};
 use pinot_pql::parse;
@@ -61,16 +62,18 @@ fn handle() -> SegmentHandle {
             FieldSpec::dimension("s", DataType::String),
             FieldSpec::dimension("g", DataType::Long),
             FieldSpec::metric("d", DataType::Double),
+            FieldSpec::dimension("k", DataType::Long),
         ],
     )
     .unwrap();
-    let cfg = BuilderConfig::new("seg", "t").with_inverted_columns(&["s"]);
+    let cfg = BuilderConfig::new("seg", "t").with_inverted_columns(&["s", "k"]);
     let mut b = SegmentBuilder::new(schema, cfg).unwrap();
     for i in 0..ROWS {
         b.add(Record::new(vec![
             Value::String(format!("v{:02}", i % 32)),
             Value::Long(i64::from(i / 32 % 8)),
             Value::Double(f64::from(i) * 0.25),
+            Value::Long(i64::from(i % 1024)),
         ]))
         .unwrap();
     }
@@ -79,11 +82,16 @@ fn handle() -> SegmentHandle {
 
 /// Bytes this thread allocated while executing `pql` on the segment.
 fn bytes_for(handle: &SegmentHandle, pql: &str) -> (u64, u64) {
+    let (bytes, stats) = run(handle, pql);
+    (bytes, stats.num_docs_scanned)
+}
+
+fn run(handle: &SegmentHandle, pql: &str) -> (u64, ExecutionStats) {
     let query = parse(pql).unwrap();
     let before = BYTES.with(Cell::get);
     let result = execute_on_segment(handle, &query).unwrap();
     let bytes = BYTES.with(Cell::get) - before;
-    (bytes, result.stats.num_docs_scanned)
+    (bytes, result.stats)
 }
 
 #[test]
@@ -134,4 +142,29 @@ fn distinct_count_allocates_typed_runs() {
             "{pql}: allocated {bytes} B, the limit is {limit} B"
         );
     }
+}
+
+/// A forward-index scan leaf sizes its block scratch to the running
+/// selection: `k = 5` (inverted) leaves 64 docs, and scanning them for
+/// `g = 3`, which none of them holds, allocates under 1 KiB beyond the
+/// query without that leaf. A leaf that matches nothing builds no result
+/// bitmap, so what it allocates is its matcher and its scratch.
+#[test]
+fn scan_leaf_scratch_fits_a_small_selection() {
+    let handle = handle();
+    let without = "SELECT COUNT(*) FROM t WHERE k = 5";
+    let with = "SELECT COUNT(*) FROM t WHERE k = 5 AND g = 3";
+    // Warm both shapes: first calls may initialise lazy statics.
+    run(&handle, without);
+    run(&handle, with);
+    let (base, index_only) = run(&handle, without);
+    let (scanned, stats) = run(&handle, with);
+    // The scan leaf read exactly the running selection.
+    assert_eq!(
+        stats.num_entries_scanned_in_filter - index_only.num_entries_scanned_in_filter,
+        64
+    );
+    assert_eq!(stats.num_docs_scanned, 0);
+    let extra = scanned.saturating_sub(base);
+    assert!(extra < 1024, "the scan leaf allocated {extra} B");
 }

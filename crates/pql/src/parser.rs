@@ -497,7 +497,13 @@ mod tests {
     #[test]
     fn unknown_function_is_error() {
         assert!(parse("SELECT median(a) FROM t").is_err());
-        assert!(parse("SELECT sum(*) FROM t").is_err());
+        for f in ["sum", "distinctcount", "avg", "min", "max"] {
+            let err = parse(&format!("SELECT {f}(*) FROM t")).unwrap_err();
+            assert!(
+                err.to_string().contains("only COUNT supports (*)"),
+                "{f}: {err}"
+            );
+        }
     }
 
     #[test]
