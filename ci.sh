@@ -30,9 +30,9 @@ for _ in $(seq 20); do
     cargo test --release -p pinot-taskpool -q
 done
 
-echo "== hybrid cluster tests, 20 runs in a row (both sides of a hybrid query run at once) =="
+echo "== hybrid and lifecycle cluster tests, 20 runs in a row (both sides of a hybrid query run at once; view rebuilds race queries) =="
 for _ in $(seq 20); do
-    cargo test --release -p pinot-core --test cluster_test --test differential_ingest -q
+    cargo test --release -p pinot-core --test cluster_test --test differential_ingest --test table_lifecycle -q
 done
 
 echo "== tier-1 tests, deterministic single-thread pools =="

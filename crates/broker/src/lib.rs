@@ -15,6 +15,7 @@
 
 pub mod routing;
 pub mod survival;
+mod view;
 
 /// One server's share of a scattered query.
 pub use pinot_exec::ServerRequest as RoutedRequest;
@@ -22,18 +23,13 @@ pub use pinot_exec::ServerRequest as RoutedRequest;
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
 use pinot_cluster::ClusterManager;
-use pinot_common::config::{RoutingStrategy, TableConfig};
-use pinot_common::ids::{InstanceId, SegmentName};
-use pinot_common::json::Json;
+use pinot_common::ids::InstanceId;
 use pinot_common::profile::{ProfileNode, QueryProfile};
 use pinot_common::query::ServerContribution;
 use pinot_common::query::{ExecutionStats, QueryRequest, QueryResponse};
-use pinot_common::{DataType, EngineConfig, PinotError, Result, RetryPolicy, Value};
+use pinot_common::{EngineConfig, PinotError, Result, RetryPolicy, Value};
 use pinot_exec::segment_exec::IntermediateResult;
-use pinot_exec::{
-    collected_profiles, finalize, merge_intermediate, ColumnRange, Prunable, PruneEvaluator,
-    ZoneMapStats,
-};
+use pinot_exec::{collected_profiles, finalize, merge_intermediate, Prunable, PruneEvaluator};
 use pinot_obs::{LatencyDigest, Obs, QueryLogEntry};
 use pinot_pql::{CmpOp, Predicate, Query};
 use pinot_taskpool::TaskPool;
@@ -41,10 +37,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use routing::{RoutingTable, SegmentReplicas};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use survival::AdmissionController;
 pub use survival::AdmissionLimits;
+use view::{TableView, Views};
 
 /// Samples of per-server scatter latency retained for hedge-delay
 /// estimation, and how many a server needs before its estimate counts.
@@ -140,32 +138,14 @@ pub trait SegmentQueryService: Send + Sync {
     fn execute(&self, req: &RoutedRequest) -> Result<IntermediateResult>;
 }
 
-struct CachedRouting {
-    tables: Vec<RoutingTable>,
-    /// The full segment → replicas view the tables were generated from;
-    /// consulted by replica failover when a routed server fails mid-query.
-    /// Shared, so a query takes it without copying the map.
-    replicas: Arc<SegmentReplicas>,
-    /// For partitioned tables: partition id → (segment → replicas).
-    partitions: Option<PartitionIndex>,
-}
-
-struct PartitionIndex {
-    column: String,
-    num_partitions: u32,
-    by_partition: HashMap<u32, SegmentReplicas>,
-}
-
 /// One Pinot broker instance.
 pub struct Broker {
     id: InstanceId,
     cluster: ClusterManager,
     executors: RwLock<HashMap<InstanceId, Arc<dyn SegmentQueryService>>>,
-    routing_cache: Mutex<HashMap<String, CachedRouting>>,
-    /// Parsed table configs keyed by metastore version, so the query hot
-    /// path doesn't re-parse JSON (configs change rarely, §5.2).
-    config_cache: Mutex<HashMap<String, (u64, TableConfig)>>,
-    dirty: Arc<Mutex<HashSet<String>>>,
+    /// Every table's metadata, decoded once per metastore generation and
+    /// external-view change.
+    views: Views,
     rng: Mutex<StdRng>,
     obs: Arc<Obs>,
     /// Backoff schedule for replica-failover retries; seeded per broker so
@@ -179,31 +159,16 @@ pub struct Broker {
     /// The cluster's engine configuration, resolved once at boot; the
     /// broker reads `taskpool_threads` (its scatter pool) and `hedge`.
     config: Arc<EngineConfig>,
-    /// Segment zone maps parsed from metastore metadata, keyed by path and
-    /// invalidated by metastore version (segment metadata is written once
-    /// but re-uploads bump the version).
-    zonemap_cache: Mutex<HashMap<String, CachedZoneMaps>>,
-    /// Time column per physical table, so the hot path doesn't re-parse the
-    /// schema JSON just to classify time-level prunes.
-    time_column_cache: Mutex<HashMap<String, Option<String>>>,
     /// Monotonic per-broker query sequence; mixed with `query_seed` into
     /// the deterministic query ids (separate from `rng` so id assignment
     /// never perturbs routing-table selection).
-    query_seq: std::sync::atomic::AtomicU64,
+    query_seq: AtomicU64,
     /// Per-broker seed for query-id generation.
     query_seed: u64,
     /// Per-server streaming latency estimates (observed scatter-reply wall
     /// clock) feeding the hedged-scatter delay.
     latency: LatencyDigest,
     admission: Arc<AdmissionController>,
-}
-
-/// One segment's published zone maps, pinned to the metastore version of
-/// the metadata they were parsed from, plus its doc count.
-struct CachedZoneMaps {
-    version: u64,
-    zone_maps: Arc<ZoneMapStats>,
-    num_docs: u64,
 }
 
 /// Segments the broker excluded before scatter — partition routing plus
@@ -260,18 +225,11 @@ impl Broker {
         obs: Arc<Obs>,
         config: Arc<EngineConfig>,
     ) -> Arc<Broker> {
-        let dirty: Arc<Mutex<HashSet<String>>> = Arc::new(Mutex::new(HashSet::new()));
-        let dirty_sub = Arc::clone(&dirty);
-        cluster.subscribe_view(move |change| {
-            dirty_sub.lock().insert(change.table.clone());
-        });
         Arc::new(Broker {
             id: InstanceId::broker(n),
+            views: Views::new(&cluster),
             cluster,
             executors: RwLock::new(HashMap::new()),
-            routing_cache: Mutex::new(HashMap::new()),
-            config_cache: Mutex::new(HashMap::new()),
-            dirty,
             rng: Mutex::new(StdRng::seed_from_u64(0x9e3779b97f4a7c15 ^ n as u64)),
             pool: Arc::new(TaskPool::with_threads(
                 config.taskpool_threads,
@@ -280,9 +238,7 @@ impl Broker {
             config,
             obs,
             retry: RetryPolicy::default().with_seed(n as u64),
-            zonemap_cache: Mutex::new(HashMap::new()),
-            time_column_cache: Mutex::new(HashMap::new()),
-            query_seq: std::sync::atomic::AtomicU64::new(0),
+            query_seq: AtomicU64::new(0),
             query_seed: 0x9e3779b97f4a7c15 ^ (n as u64).rotate_left(32),
             latency: LatencyDigest::new(HEDGE_LATENCY_WINDOW, HEDGE_MIN_SAMPLES),
             admission: Arc::new(AdmissionController::default()),
@@ -292,10 +248,7 @@ impl Broker {
     /// Next deterministic query id: splitmix64 over (per-broker seed,
     /// sequence number). Never 0 — stats reserve 0 for "no id".
     fn next_query_id(&self) -> u64 {
-        let n = self
-            .query_seq
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            + 1;
+        let n = self.query_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let mut z = self
             .query_seed
             .wrapping_add(n.wrapping_mul(0x9e3779b97f4a7c15));
@@ -442,36 +395,14 @@ impl Broker {
             pinot_pql::parse(&request.pql)
         });
         let query = Arc::new(parsed?);
-        let tenant = request.tenant.clone().unwrap_or_else(|| {
-            self.table_config_any(&query.table)
-                .map(|c| c.tenant)
-                .unwrap_or_else(|_| "DefaultTenant".to_string())
-        });
-
-        // Resolve the physical tables behind the logical name. A fully
-        // qualified name targets that one physical table; otherwise the
+        // A fully qualified name targets that one physical table; a
         // logical name maps to OFFLINE, REALTIME, or both (hybrid).
-        let tables = self.cluster.tables();
-        let physical: Vec<String> = if tables.contains(&query.table) {
-            vec![query.table.clone()]
-        } else {
-            let mut v = Vec::new();
-            for candidate in [
-                format!("{}_OFFLINE", query.table),
-                format!("{}_REALTIME", query.table),
-            ] {
-                if tables.contains(&candidate) {
-                    v.push(candidate);
-                }
-            }
-            if v.is_empty() {
-                return Err(PinotError::Metadata(format!(
-                    "unknown table {:?}",
-                    query.table
-                )));
-            }
-            v
-        };
+        let snapshot = self.views.current(&self.cluster, &self.rng, &self.obs);
+        let views = snapshot.resolve(&query.table)?;
+        let tenant = request
+            .tenant
+            .clone()
+            .unwrap_or_else(|| views[0].config.tenant.clone());
 
         // One admission slot per logical query, held across both sides
         // of a hybrid query.
@@ -483,42 +414,11 @@ impl Broker {
             .inspect_err(|_| {
                 self.obs.metrics.counter_add("broker.admission_shed", 1);
             })?;
-        let sides = match physical.as_slice() {
-            [table] => vec![(table.clone(), Arc::clone(&query))],
-            [offline, realtime] => self.hybrid_sides(offline, realtime, &query)?,
-            _ => {
-                return Err(PinotError::Internal(format!(
-                    "unexpected physical resolution {physical:?}"
-                )))
-            }
+        let sides = match views {
+            [offline, realtime] => hybrid_sides(offline, realtime, &query)?,
+            _ => views.iter().map(|t| (t, Arc::clone(&query))).collect(),
         };
         self.scatter_gather(&query, sides, &tenant, ctx, phases)
-    }
-
-    /// Hybrid rewrite (Figure 6): the offline side serves
-    /// `time < boundary`, the realtime side `time >= boundary`. With no
-    /// offline data yet, the realtime side serves the whole query.
-    fn hybrid_sides(
-        &self,
-        offline: &str,
-        realtime: &str,
-        query: &Arc<Query>,
-    ) -> Result<Vec<(String, Arc<Query>)>> {
-        let time_column = self
-            .time_column_cached(offline)
-            .ok_or_else(|| PinotError::Metadata(format!("{offline} has no time column")))?;
-        let Some(boundary) = self.offline_time_boundary(offline) else {
-            return Ok(vec![(realtime.to_string(), Arc::clone(query))]);
-        };
-        let side = |table: &str, op| {
-            let pred = Predicate::Cmp {
-                column: time_column.clone(),
-                op,
-                value: Value::Long(boundary),
-            };
-            (table.to_string(), Arc::new(add_conjunct(query, pred)))
-        };
-        Ok(vec![side(offline, CmpOp::Lt), side(realtime, CmpOp::Ge)])
     }
 
     /// Scatter every side of one logical query and reduce it (§3.3.3):
@@ -532,30 +432,28 @@ impl Broker {
     fn scatter_gather(
         &self,
         query: &Arc<Query>,
-        sides: Vec<(String, Arc<Query>)>,
+        sides: Vec<(&Arc<TableView>, Arc<Query>)>,
         tenant: &str,
         ctx: QueryCtx,
         phases: &mut PhaseNanos,
     ) -> Result<QueryResponse> {
         let started = Instant::now();
-        let (routed, _) = self.timed("broker.phase.route_ms", &mut phases.route, || {
-            sides
-                .into_iter()
-                .map(|(table, side)| Ok((self.route(&table, &side)?, table, side)))
-                .collect::<Result<Vec<_>>>()
-        });
         let mut skips = BrokerSkips::default();
-        let mut plan: Vec<Slice> = Vec::new();
-        for ((routing, partition_skipped), table, side) in routed? {
-            self.plan_side(
-                table,
-                side,
-                routing,
-                &partition_skipped,
-                &mut skips,
-                &mut plan,
-            );
-        }
+        let (plan, _) = self.timed("broker.phase.route_ms", &mut phases.route, || {
+            let mut plan: Vec<Slice> = Vec::new();
+            for (table, side) in sides {
+                let (routing, partition_skipped) = self.route(table, &side);
+                self.plan_side(
+                    table,
+                    side,
+                    routing,
+                    &partition_skipped,
+                    &mut skips,
+                    &mut plan,
+                );
+            }
+            plan
+        });
 
         let mut g = Gather {
             acc: IntermediateResult::empty_for(query),
@@ -751,7 +649,7 @@ impl Broker {
     /// match the side's filter before any RPC is issued.
     fn plan_side(
         &self,
-        table: String,
+        table: &TableView,
         query: Arc<Query>,
         routing: RoutingTable,
         partition_skipped: &[String],
@@ -764,22 +662,18 @@ impl Broker {
                 .counter_add("prune.partition_segments", partition_skipped.len() as u64);
             for seg in partition_skipped {
                 skips.partition_segments += 1;
-                skips.partition_docs += self
-                    .segment_zone_maps(&table, seg)
-                    .map(|(_, docs)| docs)
-                    .unwrap_or(0);
+                skips.partition_docs += table.segments.get(seg).map_or(0, |e| e.num_docs);
             }
         }
-        let routing = self.prune_plan(&table, &query, routing, skips);
+        let routing = self.prune_plan(table, &query, routing, skips);
         self.obs
             .metrics
             .observe_ms("broker.routing.fanout", routing.len() as f64);
-        let replicas = self.segment_replicas(&table);
         for (server, segments) in routing {
             plan.push(Slice {
-                table: table.clone(),
+                table: table.name.clone(),
                 query: Arc::clone(&query),
-                replicas: Arc::clone(&replicas),
+                replicas: Arc::clone(&table.replicas),
                 server,
                 segments,
             });
@@ -1049,25 +943,27 @@ impl Broker {
         })
     }
 
+    // ---- table metadata ----
+
+    /// Number of routing tables in rotation for a table (diagnostics/tests).
+    pub fn num_routing_tables(&self, table: &str) -> usize {
+        self.views
+            .current(&self.cluster, &self.rng, &self.obs)
+            .tables
+            .get(table)
+            .map_or(0, |v| v.routing.len())
+    }
+
     // ---- routing ----
 
-    /// Build the per-server segment assignment for one query.
     /// Pick a routing table for the query. The second element names the
     /// segments partition-aware routing excluded, so the caller can fold
     /// them into the response stats as pruned rather than dropping them
     /// invisibly.
-    fn route(&self, table: &str, query: &Query) -> Result<(RoutingTable, Vec<String>)> {
-        let config = self.table_config_physical(table)?;
-        self.refresh_routing_if_dirty(table, &config)?;
-
-        let cache = self.routing_cache.lock();
-        let cached = cache
-            .get(table)
-            .ok_or_else(|| PinotError::Cluster(format!("no routing for {table}")))?;
-
+    fn route(&self, table: &TableView, query: &Query) -> (RoutingTable, Vec<String>) {
         // Partition-aware path: equality/IN filter on the partition column
         // restricts to the matching partitions' segments (§4.4).
-        if let Some(pidx) = &cached.partitions {
+        if let Some(pidx) = &table.partitions {
             if let Some(values) = partition_filter_values(query.filter.as_ref(), &pidx.column) {
                 self.obs
                     .metrics
@@ -1081,147 +977,33 @@ impl Broker {
                         }
                     }
                 }
-                let skipped: Vec<String> = cached
+                let skipped: Vec<String> = table
                     .replicas
                     .keys()
                     .filter(|seg| !replicas.contains_key(*seg))
                     .cloned()
                     .collect();
-                return Ok((routing::generate_balanced(&replicas), skipped));
+                return (routing::generate_balanced(&replicas), skipped);
             }
         }
 
-        if cached.tables.is_empty() {
-            return Ok((RoutingTable::new(), Vec::new()));
+        if table.routing.is_empty() {
+            return (RoutingTable::new(), Vec::new());
         }
-        let idx = self.rng.lock().gen_range(0..cached.tables.len());
-        Ok((cached.tables[idx].clone(), Vec::new()))
-    }
-
-    fn refresh_routing_if_dirty(&self, table: &str, config: &TableConfig) -> Result<()> {
-        let needs = {
-            let mut dirty = self.dirty.lock();
-            let was_dirty = dirty.remove(table);
-            was_dirty || !self.routing_cache.lock().contains_key(table)
-        };
-        if !needs {
-            return Ok(());
-        }
-        self.obs.metrics.counter_add("broker.routing.refresh", 1);
-        let view = self.cluster.routable_view(table);
-        let replicas = routing::invert_view(&view);
-
-        let tables = match &config.routing {
-            RoutingStrategy::Balanced | RoutingStrategy::Partitioned { .. } => {
-                vec![routing::generate_balanced(&replicas)]
-            }
-            RoutingStrategy::LargeCluster {
-                target_servers,
-                routing_table_count,
-                generation_count,
-            } => {
-                let mut rng = self.rng.lock();
-                routing::filter_routing_tables(
-                    &replicas,
-                    *target_servers,
-                    *routing_table_count,
-                    *generation_count,
-                    &mut *rng,
-                )
-            }
-        };
-
-        let partitions = match &config.routing {
-            RoutingStrategy::Partitioned {
-                column,
-                num_partitions,
-            } => Some(self.build_partition_index(table, column, *num_partitions, &replicas)),
-            _ => None,
-        };
-
-        self.routing_cache.lock().insert(
-            table.to_string(),
-            CachedRouting {
-                tables,
-                replicas: Arc::new(replicas),
-                partitions,
-            },
-        );
-        Ok(())
-    }
-
-    /// The replica placement the routing cache was built from — who else
-    /// can serve each segment when its routed server fails.
-    fn segment_replicas(&self, table: &str) -> Arc<SegmentReplicas> {
-        self.routing_cache
-            .lock()
-            .get(table)
-            .map(|c| Arc::clone(&c.replicas))
-            .unwrap_or_default()
-    }
-
-    fn build_partition_index(
-        &self,
-        table: &str,
-        column: &str,
-        num_partitions: u32,
-        replicas: &SegmentReplicas,
-    ) -> PartitionIndex {
-        let mut by_partition: HashMap<u32, SegmentReplicas> = HashMap::new();
-        for (seg, servers) in replicas {
-            let partition = self.segment_partition(table, seg);
-            match partition {
-                Some(p) => {
-                    by_partition
-                        .entry(p)
-                        .or_default()
-                        .insert(seg.clone(), servers.clone());
-                }
-                None => {
-                    // Unknown partition: conservatively include the segment
-                    // in every partition's set so no data is missed.
-                    for p in 0..num_partitions {
-                        by_partition
-                            .entry(p)
-                            .or_default()
-                            .insert(seg.clone(), servers.clone());
-                    }
-                }
-            }
-        }
-        PartitionIndex {
-            column: column.to_string(),
-            num_partitions,
-            by_partition,
-        }
-    }
-
-    /// Partition id of a segment: realtime names encode it; otherwise the
-    /// segment metadata in the metastore records it.
-    fn segment_partition(&self, table: &str, segment: &str) -> Option<u32> {
-        if let Some((p, _)) = SegmentName::from_raw(segment).realtime_parts() {
-            return Some(p);
-        }
-        let (text, _) = self
-            .cluster
-            .metastore()
-            .get(&format!("/segments/{table}/{segment}"))?;
-        let json = Json::parse(&text).ok()?;
-        json.get("partitionId")
-            .and_then(Json::as_i64)
-            .map(|v| v as u32)
+        let idx = self.rng.lock().gen_range(0..table.routing.len());
+        (table.routing[idx].clone(), Vec::new())
     }
 
     // ---- broker-level zone-map pruning ----
 
-    /// Drop segments whose metastore zone maps prove the filter cannot
+    /// Drop segments whose published zone maps prove the filter cannot
     /// match, and with them any server whose entire share pruned away —
     /// fewer RPCs and a smaller gather. Segments without published zone
     /// maps (consuming, or written by an older controller) pass through
     /// untouched.
     fn prune_plan(
         &self,
-        table: &str,
+        table: &TableView,
         query: &Query,
         plan: RoutingTable,
         skips: &mut BrokerSkips,
@@ -1229,26 +1011,23 @@ impl Broker {
         if query.filter.is_none() {
             return plan;
         }
-        let time_column = self.time_column_cached(table);
-        let evaluator = PruneEvaluator::new(time_column);
+        let evaluator = PruneEvaluator::new(table.time_column.clone());
         let mut out = RoutingTable::new();
         let mut servers_skipped = 0u64;
         for (server, segments) in plan {
             let mut kept = Vec::with_capacity(segments.len());
             for seg in segments {
-                let Some((zone_maps, docs)) = self.segment_zone_maps(table, &seg) else {
+                let Some(entry) = table.segments.get(&seg) else {
                     kept.push(seg);
                     continue;
                 };
-                let outcome = evaluator.evaluate(query.filter.as_ref(), zone_maps.as_ref());
+                let outcome = evaluator.evaluate(query.filter.as_ref(), &entry.zone_maps);
                 if outcome.prunable == Prunable::CannotMatch {
                     skips.segments += 1;
-                    skips.docs += docs;
+                    skips.docs += entry.num_docs;
                     self.obs.metrics.counter_add("prune.broker_segments", 1);
                     if let Some(level) = outcome.level {
-                        self.obs
-                            .metrics
-                            .counter_add(&format!("prune.{}_segments", level.as_str()), 1);
+                        self.obs.metrics.counter_add(level.metric_name(), 1);
                     }
                 } else {
                     kept.push(seg);
@@ -1267,150 +1046,32 @@ impl Broker {
         }
         out
     }
-
-    /// Zone maps and doc count a segment's metastore metadata publishes
-    /// (written by the controller at upload/commit). Cached by metastore
-    /// version so the query hot path doesn't re-parse JSON.
-    fn segment_zone_maps(&self, table: &str, segment: &str) -> Option<(Arc<ZoneMapStats>, u64)> {
-        let path = format!("/segments/{table}/{segment}");
-        let (text, version) = self.cluster.metastore().get(&path)?;
-        {
-            let cache = self.zonemap_cache.lock();
-            if let Some(cached) = cache.get(&path) {
-                if cached.version == version {
-                    return Some((Arc::clone(&cached.zone_maps), cached.num_docs));
-                }
-            }
-        }
-        let json = Json::parse(&text).ok()?;
-        let docs = json.get("numDocs").and_then(Json::as_i64).unwrap_or(0) as u64;
-        let mut zone_maps = ZoneMapStats::default();
-        if let Some(Json::Obj(columns)) = json.get("columns") {
-            for (name, col) in columns {
-                if let Some(range) = parse_zone_map(col) {
-                    zone_maps.columns.insert(name.clone(), range);
-                }
-            }
-        }
-        let zone_maps = Arc::new(zone_maps);
-        self.zonemap_cache.lock().insert(
-            path,
-            CachedZoneMaps {
-                version,
-                zone_maps: Arc::clone(&zone_maps),
-                num_docs: docs,
-            },
-        );
-        Some((zone_maps, docs))
-    }
-
-    /// A table's time column, parsed from its schema once. A failed read
-    /// (config or schema not published yet) is not cached.
-    fn time_column_cached(&self, table: &str) -> Option<String> {
-        if let Some(cached) = self.time_column_cache.lock().get(table) {
-            return cached.clone();
-        }
-        let time_column = self.table_time_column(table).ok()?;
-        self.time_column_cache
-            .lock()
-            .insert(table.to_string(), time_column.clone());
-        time_column
-    }
-
-    // ---- table metadata helpers ----
-
-    fn table_config_physical(&self, qualified: &str) -> Result<TableConfig> {
-        let (text, version) = self
-            .cluster
-            .metastore()
-            .get(&format!("/configs/{qualified}"))
-            .ok_or_else(|| PinotError::Metadata(format!("no config for {qualified}")))?;
-        {
-            let cache = self.config_cache.lock();
-            if let Some((v, cfg)) = cache.get(qualified) {
-                if *v == version {
-                    return Ok(cfg.clone());
-                }
-            }
-        }
-        let cfg = TableConfig::from_json(&Json::parse(&text)?)?;
-        self.config_cache
-            .lock()
-            .insert(qualified.to_string(), (version, cfg.clone()));
-        Ok(cfg)
-    }
-
-    fn table_config_any(&self, logical: &str) -> Result<TableConfig> {
-        self.table_config_physical(&format!("{logical}_OFFLINE"))
-            .or_else(|_| self.table_config_physical(&format!("{logical}_REALTIME")))
-            .or_else(|_| self.table_config_physical(logical))
-    }
-
-    fn table_time_column(&self, qualified: &str) -> Result<Option<String>> {
-        let config = self.table_config_physical(qualified)?;
-        let (text, _) = self
-            .cluster
-            .metastore()
-            .get(&format!("/schemas/{}", config.name))
-            .ok_or_else(|| PinotError::Metadata(format!("no schema for {}", config.name)))?;
-        let schema = pinot_common::Schema::from_json(&Json::parse(&text)?)?;
-        Ok(schema.time_column().map(|f| f.name.clone()))
-    }
-
-    /// The hybrid time boundary: the largest time value any offline segment
-    /// covers (from segment metadata).
-    fn offline_time_boundary(&self, offline_table: &str) -> Option<i64> {
-        let ms = self.cluster.metastore();
-        let mut max_time: Option<i64> = None;
-        for seg in ms.children(&format!("/segments/{offline_table}")) {
-            let Some((text, _)) = ms.get(&format!("/segments/{offline_table}/{seg}")) else {
-                continue;
-            };
-            let Ok(json) = Json::parse(&text) else {
-                continue;
-            };
-            if let Some(t) = json.get("maxTime").and_then(Json::as_i64) {
-                max_time = Some(max_time.map_or(t, |m: i64| m.max(t)));
-            }
-        }
-        max_time
-    }
-
-    /// Number of cached routing tables for a table (diagnostics/tests).
-    pub fn num_routing_tables(&self, table: &str) -> usize {
-        self.routing_cache
-            .lock()
-            .get(table)
-            .map(|c| c.tables.len())
-            .unwrap_or(0)
-    }
 }
 
-/// Decode one column's zone map from segment metadata JSON — the inverse of
-/// the controller's string encoding (bounds are strings because JSON
-/// numbers are f64 and would corrupt i64 bounds past 2^53).
-fn parse_zone_map(col: &Json) -> Option<ColumnRange> {
-    let data_type = DataType::parse(col.get("type")?.as_str()?).ok()?;
-    let single_value = col.get("sv")?.as_bool()?;
-    let min = parse_zone_bound(col.get("min")?.as_str()?, data_type)?;
-    let max = parse_zone_bound(col.get("max")?.as_str()?, data_type)?;
-    Some(ColumnRange {
-        data_type,
-        min,
-        max,
-        single_value,
-    })
-}
-
-fn parse_zone_bound(s: &str, data_type: DataType) -> Option<Value> {
-    match data_type {
-        DataType::Int => s.parse().ok().map(Value::Int),
-        DataType::Long => s.parse().ok().map(Value::Long),
-        DataType::Float => s.parse().ok().map(Value::Float),
-        DataType::Double => s.parse().ok().map(Value::Double),
-        DataType::String => Some(Value::String(s.to_string())),
-        DataType::Boolean => s.parse().ok().map(Value::Boolean),
-    }
+/// Hybrid rewrite (Figure 6): the offline side serves `time < boundary`,
+/// the realtime side `time >= boundary`. With no offline data yet, the
+/// realtime side serves the whole query.
+fn hybrid_sides<'a>(
+    offline: &'a Arc<TableView>,
+    realtime: &'a Arc<TableView>,
+    query: &Arc<Query>,
+) -> Result<Vec<(&'a Arc<TableView>, Arc<Query>)>> {
+    let time_column = offline
+        .time_column
+        .as_ref()
+        .ok_or_else(|| PinotError::Metadata(format!("{} has no time column", offline.name)))?;
+    let Some(boundary) = offline.max_time else {
+        return Ok(vec![(realtime, Arc::clone(query))]);
+    };
+    let side = |table, op| {
+        let pred = Predicate::Cmp {
+            column: time_column.clone(),
+            op,
+            value: Value::Long(boundary),
+        };
+        (table, Arc::new(add_conjunct(query, pred)))
+    };
+    Ok(vec![side(offline, CmpOp::Lt), side(realtime, CmpOp::Ge)])
 }
 
 /// Run a server call with panic capture. A panicking server maps to a

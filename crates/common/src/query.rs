@@ -49,11 +49,6 @@ impl QueryRequest {
         self.tenant = Some(tenant.into());
         self
     }
-
-    pub fn with_profile(mut self) -> QueryRequest {
-        self.profile = true;
-        self
-    }
 }
 
 /// One aggregation result: `SUM(clicks) -> 42`.

@@ -173,12 +173,6 @@ impl FieldSpec {
         }
     }
 
-    /// Replace the default value (builder style).
-    pub fn with_default(mut self, v: Value) -> FieldSpec {
-        self.default_value = v;
-        self
-    }
-
     /// Validate a cell against this spec. Nulls are allowed (they are
     /// replaced by the default at ingest).
     pub fn validate(&self, v: &Value) -> Result<()> {

@@ -1,6 +1,5 @@
-//! Time helpers: wall clock abstraction and hybrid time-boundary math.
+//! Time helpers: the wall clock abstraction.
 
-use crate::schema::TimeUnit;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -62,17 +61,6 @@ impl std::fmt::Debug for Clock {
     }
 }
 
-/// Compute the hybrid-table time boundary (§3.3.3, Fig 6).
-///
-/// Offline data is authoritative strictly *before* the boundary; realtime
-/// answers at or after it. Pinot uses `maxOfflineTime - 1 unit` when offline
-/// segments end mid-window, rounded to the table's push granularity. We
-/// reproduce the simple rule: boundary = max offline time value, so offline
-/// serves `time < boundary` and realtime serves `time >= boundary`.
-pub fn hybrid_time_boundary(max_offline_time: i64, _unit: TimeUnit) -> i64 {
-    max_offline_time
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,10 +89,5 @@ mod tests {
         let b = c.now_millis();
         assert!(b >= a);
         assert!(a > 1_600_000_000_000); // sanity: after 2020
-    }
-
-    #[test]
-    fn boundary_is_max_offline_time() {
-        assert_eq!(hybrid_time_boundary(17_000, TimeUnit::Days), 17_000);
     }
 }

@@ -230,6 +230,12 @@ impl Controller {
         let table = TableName::new(name, table_type);
         let qualified = table.qualified();
         self.cluster.remove_table(&qualified)?;
+        // A recreated realtime table reuses its segment names; a finished
+        // completion FSM left behind would send them to download blobs
+        // deleted here.
+        self.completions
+            .lock()
+            .retain(|seg, _| seg.split_once("__").map(|(t, _)| t) != Some(qualified.as_str()));
         for key in self.objstore.list(&format!("segments/{qualified}/")) {
             let _ = self.objstore.delete(&key);
         }

@@ -254,10 +254,23 @@ fn hybrid_views(
 ) -> PinotCluster {
     let cluster = PinotCluster::start(ClusterConfig::default().with_servers(servers)).unwrap();
     cluster.streams().create_topic("view-events", 1).unwrap();
+    load_hybrid_views(&cluster, schema(), offline_replication, offline, realtime);
+    cluster
+}
+
+/// Create both sides of `views` with `schema` and load them: `offline`
+/// in 10-row segments, `realtime` through the `view-events` stream.
+fn load_hybrid_views(
+    cluster: &PinotCluster,
+    schema: Schema,
+    offline_replication: usize,
+    offline: Vec<Record>,
+    realtime: Vec<Record>,
+) {
     cluster
         .create_table(
             TableConfig::offline("views").with_replication(offline_replication),
-            schema(),
+            schema.clone(),
         )
         .unwrap();
     cluster
@@ -270,7 +283,7 @@ fn hybrid_views(
                     flush_threshold_millis: i64::MAX / 4,
                 },
             ),
-            schema(),
+            schema,
         )
         .unwrap();
     for chunk in offline.chunks(10) {
@@ -282,7 +295,6 @@ fn hybrid_views(
             .unwrap();
     }
     cluster.consume_until_idle().unwrap();
-    cluster
 }
 
 /// The answer's one aggregation value whose function starts with `prefix`.
@@ -576,6 +588,84 @@ fn partitioned_routing_through_cluster() {
     assert_eq!(resp.stats.num_segments_queried, 4);
     assert_eq!(resp.stats.num_segments_processed, 4);
     assert_eq!(resp.stats.num_segments_pruned, 0);
+}
+
+/// A hybrid table deleted and recreated with its time column renamed
+/// from `day` to `ts` is served with its new schema: the boundary
+/// conjunct names `ts`, and every server answers.
+#[test]
+fn recreated_hybrid_table_uses_its_new_time_column() {
+    let (offline, realtime) = motivation_rows();
+    let cluster = hybrid_views(2, 1, offline.clone(), realtime.clone());
+    assert_eq!(
+        agg_value(&cluster.query("SELECT COUNT(*) FROM views"), "count"),
+        Value::Long(40)
+    );
+
+    cluster.delete_table("views", TableType::Offline).unwrap();
+    cluster.delete_table("views", TableType::Realtime).unwrap();
+    let renamed = Schema::new(
+        "views",
+        vec![
+            FieldSpec::dimension("viewer", DataType::Long),
+            FieldSpec::dimension("country", DataType::String),
+            FieldSpec::metric("clicks", DataType::Long),
+            FieldSpec::time("ts", DataType::Long, TimeUnit::Days),
+        ],
+    )
+    .unwrap();
+    load_hybrid_views(&cluster, renamed, 1, offline, realtime);
+
+    let resp = cluster.query("SELECT COUNT(*) FROM views");
+    assert!(!resp.partial, "{:?}", resp.exceptions);
+    assert_eq!(count_of(&resp), 40);
+    let resp = cluster.query("SELECT COUNT(*) FROM views WHERE ts = 102");
+    assert!(!resp.partial, "{:?}", resp.exceptions);
+    assert_eq!(count_of(&resp), 5);
+}
+
+/// A Balanced table deleted and recreated as `Partitioned{viewer, 4}` is
+/// routed by its new config, though the new config node's version starts
+/// over at 0: a point query on `viewer` reaches one segment on one server.
+#[test]
+fn recreated_table_uses_its_new_routing_config() {
+    let cluster = PinotCluster::start(ClusterConfig::default().with_servers(4)).unwrap();
+    let rows: Vec<Record> = (0..400).map(|i| row(i, "us", 1, 10)).collect();
+    cluster
+        .create_table(TableConfig::offline("views"), schema())
+        .unwrap();
+    for chunk in rows.chunks(100) {
+        cluster.upload_rows("views", chunk.to_vec()).unwrap();
+    }
+    assert_eq!(
+        count_of(&cluster.query("SELECT COUNT(*) FROM views WHERE viewer = 42")),
+        1
+    );
+
+    cluster.delete_table("views", TableType::Offline).unwrap();
+    cluster
+        .create_table(
+            TableConfig::offline("views").with_routing(RoutingStrategy::Partitioned {
+                column: "viewer".into(),
+                num_partitions: 4,
+            }),
+            schema(),
+        )
+        .unwrap();
+    assert_eq!(
+        cluster
+            .upload_rows_partitioned("views", rows)
+            .unwrap()
+            .len(),
+        4
+    );
+
+    let resp = cluster.query("SELECT COUNT(*) FROM views WHERE viewer = 42");
+    assert!(!resp.partial, "{:?}", resp.exceptions);
+    assert_eq!(count_of(&resp), 1);
+    assert_eq!(resp.stats.num_segments_processed, 1);
+    assert_eq!(resp.stats.num_segments_pruned, 3);
+    assert_eq!(resp.stats.num_servers_queried, 1);
 }
 
 #[test]

@@ -57,12 +57,22 @@ pub enum PruneLevel {
 }
 
 impl PruneLevel {
-    /// Metric name suffix (`prune.<level>_segments`).
+    /// The level's name, as EXPLAIN and profiles print it.
     pub fn as_str(self) -> &'static str {
         match self {
             PruneLevel::Time => "time",
             PruneLevel::ZoneMap => "zonemap",
             PruneLevel::Bloom => "bloom",
+        }
+    }
+
+    /// The counter of segments pruned at this level:
+    /// `prune.<level>_segments`.
+    pub fn metric_name(self) -> &'static str {
+        match self {
+            PruneLevel::Time => "prune.time_segments",
+            PruneLevel::ZoneMap => "prune.zonemap_segments",
+            PruneLevel::Bloom => "prune.bloom_segments",
         }
     }
 }

@@ -8,34 +8,20 @@
 //! * a hierarchical, versioned key space with compare-and-set writes;
 //! * **ephemeral nodes** bound to a session, deleted when the session
 //!   expires (node liveness);
-//! * **watches**: subscribers receive change events for a path prefix;
+//! * a **generation counter** that every committed write moves, so a
+//!   reader that decoded the store at one generation knows when to
+//!   re-read it;
 //! * **leader election** built from ephemeral nodes (controller mastership,
 //!   §3.2 "Controller mastership is managed by Apache Helix").
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use pinot_common::{PinotError, Result};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A liveness session; expiring it removes its ephemeral nodes.
 pub type SessionId = u64;
-
-/// What happened to a node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WatchKind {
-    Created,
-    Updated,
-    Deleted,
-}
-
-/// A change notification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WatchEvent {
-    pub path: String,
-    pub kind: WatchKind,
-    pub value: Option<String>,
-}
 
 #[derive(Debug, Clone)]
 struct NodeData {
@@ -46,7 +32,6 @@ struct NodeData {
 
 struct Inner {
     nodes: BTreeMap<String, NodeData>,
-    watchers: Vec<(String, Sender<WatchEvent>)>,
     next_session: SessionId,
     live_sessions: Vec<SessionId>,
 }
@@ -55,6 +40,8 @@ struct Inner {
 #[derive(Clone)]
 pub struct MetaStore {
     inner: Arc<Mutex<Inner>>,
+    /// Committed writes so far; moved under `inner`'s lock by each one.
+    generation: Arc<AtomicU64>,
 }
 
 impl Default for MetaStore {
@@ -68,11 +55,27 @@ impl MetaStore {
         MetaStore {
             inner: Arc::new(Mutex::new(Inner {
                 nodes: BTreeMap::new(),
-                watchers: Vec::new(),
                 next_session: 1,
                 live_sessions: Vec::new(),
             })),
+            generation: Arc::new(AtomicU64::new(0)),
         }
+    }
+
+    /// The number of writes committed so far: every create, set and delete,
+    /// and every ephemeral node an expired session takes with it. Read it
+    /// *before* reading the store; what was read then reflects at least
+    /// this generation, so an unchanged generation later means nothing
+    /// read has changed.
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
+    }
+
+    /// Count one committed write; called with `inner`'s lock held. The
+    /// `Release` pairs with the `Acquire` in [`MetaStore::generation`]: a
+    /// reader that sees the new count also sees the write.
+    fn bump(&self) {
+        self.generation.fetch_add(1, Ordering::Release);
     }
 
     fn validate_path(path: &str) -> Result<()> {
@@ -91,8 +94,8 @@ impl MetaStore {
         id
     }
 
-    /// Expire a session: its ephemeral nodes are deleted (with watch
-    /// events), as when a Pinot node dies.
+    /// Expire a session: its ephemeral nodes are deleted, each a write,
+    /// as when a Pinot node dies.
     pub fn expire_session(&self, session: SessionId) {
         let mut inner = self.inner.lock();
         inner.live_sessions.retain(|s| *s != session);
@@ -104,7 +107,7 @@ impl MetaStore {
             .collect();
         for path in doomed {
             inner.nodes.remove(&path);
-            notify(&mut inner, &path, WatchKind::Deleted, None);
+            self.bump();
         }
     }
 
@@ -125,16 +128,15 @@ impl MetaStore {
         if inner.nodes.contains_key(path) {
             return Err(PinotError::Metadata(format!("node {path:?} exists")));
         }
-        let value = value.into();
         inner.nodes.insert(
             path.to_string(),
             NodeData {
-                value: value.clone(),
+                value: value.into(),
                 version: 0,
                 ephemeral_owner: ephemeral,
             },
         );
-        notify(&mut inner, path, WatchKind::Created, Some(value));
+        self.bump();
         Ok(())
     }
 
@@ -159,10 +161,10 @@ impl MetaStore {
                         )));
                     }
                 }
-                node.value = value.clone();
+                node.value = value;
                 node.version += 1;
                 let v = node.version;
-                notify(&mut inner, path, WatchKind::Updated, Some(value));
+                self.bump();
                 Ok(v)
             }
             None => {
@@ -174,12 +176,12 @@ impl MetaStore {
                 inner.nodes.insert(
                     path.to_string(),
                     NodeData {
-                        value: value.clone(),
+                        value,
                         version: 0,
                         ephemeral_owner: None,
                     },
                 );
-                notify(&mut inner, path, WatchKind::Created, Some(value));
+                self.bump();
                 Ok(0)
             }
         }
@@ -203,7 +205,7 @@ impl MetaStore {
         if inner.nodes.remove(path).is_none() {
             return Err(PinotError::Metadata(format!("node {path:?} not found")));
         }
-        notify(&mut inner, path, WatchKind::Deleted, None);
+        self.bump();
         Ok(())
     }
 
@@ -231,14 +233,6 @@ impl MetaStore {
         out
     }
 
-    /// Subscribe to changes under a path prefix. Events created after the
-    /// call are delivered on the returned channel.
-    pub fn subscribe(&self, prefix: impl Into<String>) -> Receiver<WatchEvent> {
-        let (tx, rx) = unbounded();
-        self.inner.lock().watchers.push((prefix.into(), tx));
-        rx
-    }
-
     /// Attempt to become leader for `scope`. Returns true on success or if
     /// this candidate already is the leader.
     pub fn elect_leader(&self, scope: &str, session: SessionId, candidate: &str) -> Result<bool> {
@@ -256,17 +250,6 @@ impl MetaStore {
     pub fn leader(&self, scope: &str) -> Option<String> {
         self.get(&format!("/leaders/{scope}")).map(|(v, _)| v)
     }
-}
-
-fn notify(inner: &mut Inner, path: &str, kind: WatchKind, value: Option<String>) {
-    let event = WatchEvent {
-        path: path.to_string(),
-        kind,
-        value,
-    };
-    inner.watchers.retain(|(prefix, tx)| {
-        !path.starts_with(prefix.as_str()) || tx.send(event.clone()).is_ok()
-    });
 }
 
 #[cfg(test)]
@@ -320,38 +303,39 @@ mod tests {
     }
 
     #[test]
-    fn watches_fire_for_prefix() {
+    fn every_committed_write_moves_the_generation() {
         let ms = MetaStore::new();
-        let rx = ms.subscribe("/tables/");
+        assert_eq!(ms.generation(), 0);
         ms.create("/tables/foo", "v", None).unwrap();
+        assert_eq!(ms.generation(), 1);
         ms.set("/tables/foo", "v2", None).unwrap();
-        ms.create("/ignored", "x", None).unwrap();
+        assert_eq!(ms.generation(), 2);
+        ms.set("/tables/bar", "v", None).unwrap();
+        assert_eq!(ms.generation(), 3);
         ms.delete("/tables/foo").unwrap();
-        let events: Vec<WatchEvent> = rx.try_iter().collect();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].kind, WatchKind::Created);
-        assert_eq!(events[1].kind, WatchKind::Updated);
-        assert_eq!(events[1].value.as_deref(), Some("v2"));
-        assert_eq!(events[2].kind, WatchKind::Deleted);
+        assert_eq!(ms.generation(), 4);
+        // Failed writes and reads commit nothing.
+        assert!(ms.create("/tables/bar", "x", None).is_err());
+        assert!(ms.set("/tables/bar", "x", Some(7)).is_err());
+        assert!(ms.delete("/tables/foo").is_err());
+        assert!(ms.get("/tables/bar").is_some());
+        assert_eq!(ms.generation(), 4);
     }
 
     #[test]
     fn ephemeral_nodes_die_with_session() {
         let ms = MetaStore::new();
         let s = ms.create_session();
-        let rx = ms.subscribe("/live/");
         ms.create("/live/server1", "up", Some(s)).unwrap();
         ms.create("/live/server2", "up", Some(s)).unwrap();
         ms.create("/live/other", "up", None).unwrap();
+        let before = ms.generation();
         ms.expire_session(s);
         assert!(!ms.exists("/live/server1"));
         assert!(!ms.exists("/live/server2"));
         assert!(ms.exists("/live/other"));
-        let deletions = rx
-            .try_iter()
-            .filter(|e| e.kind == WatchKind::Deleted)
-            .count();
-        assert_eq!(deletions, 2);
+        // Each ephemeral node the session took with it is one write.
+        assert_eq!(ms.generation() - before, 2);
         // Dead sessions can't create ephemerals.
         assert!(ms.create("/live/server3", "up", Some(s)).is_err());
     }

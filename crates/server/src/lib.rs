@@ -32,7 +32,7 @@ use pinot_exec::{
     PlannerMode, Prunable, PruneEvaluator, PruneOutcome, SegmentExplain,
 };
 use pinot_obs::Obs;
-use pinot_pql::{CmpOp, Predicate, Query};
+use pinot_pql::Query;
 use pinot_segment::builder::BuilderConfig;
 use pinot_segment::metadata::PartitionInfo;
 use pinot_segment::MutableSegment;
@@ -378,11 +378,17 @@ impl Server {
         })
     }
 
+    /// Drop a segment. A table's state goes with its last segment, so a
+    /// table deleted and created again under the same name loads its new
+    /// config and schema instead of serving its predecessor's.
     fn unload(&self, qualified: &str, segment: &str) {
         let mut tables = self.tables.write();
         if let Some(state) = tables.get_mut(qualified) {
             state.online.remove(segment);
             state.consuming.remove(segment);
+            if state.online.is_empty() && state.consuming.is_empty() {
+                tables.remove(qualified);
+            }
         }
     }
 
@@ -907,9 +913,7 @@ impl Server {
                 .counter_add("prune.bloom_probe_negatives", outcome.bloom_negatives);
         }
         if let Some(level) = outcome.level {
-            self.obs
-                .metrics
-                .counter_add(&format!("prune.{}_segments", level.as_str()), 1);
+            self.obs.metrics.counter_add(level.metric_name(), 1);
         }
     }
 
@@ -1108,107 +1112,5 @@ impl Participant for Server {
                 t.name()
             ))),
         }
-    }
-}
-
-/// Extract `[lo, hi]` bounds (inclusive) that top-level AND conjuncts put on
-/// the time column. Conservative: OR/NOT shapes yield no bounds.
-pub fn filter_time_bounds(
-    pred: Option<&Predicate>,
-    time_column: &str,
-) -> (Option<i64>, Option<i64>) {
-    let mut lo: Option<i64> = None;
-    let mut hi: Option<i64> = None;
-    fn tighten(slot: &mut Option<i64>, v: i64, take_min: bool) {
-        *slot = Some(match *slot {
-            None => v,
-            Some(cur) if take_min => cur.min(v),
-            Some(cur) => cur.max(v),
-        });
-    }
-    fn walk(p: &Predicate, col: &str, lo: &mut Option<i64>, hi: &mut Option<i64>) {
-        match p {
-            Predicate::And(ps) => {
-                for q in ps {
-                    walk(q, col, lo, hi);
-                }
-            }
-            Predicate::Cmp { column, op, value } if column == col => {
-                if let Some(v) = value.as_i64() {
-                    match op {
-                        CmpOp::Eq => {
-                            tighten(lo, v, false);
-                            tighten(hi, v, true);
-                        }
-                        CmpOp::Ge => tighten(lo, v, false),
-                        CmpOp::Gt => tighten(lo, v + 1, false),
-                        CmpOp::Le => tighten(hi, v, true),
-                        CmpOp::Lt => tighten(hi, v - 1, true),
-                        CmpOp::Ne => {}
-                    }
-                }
-            }
-            Predicate::Between { column, low, high } if column == col => {
-                if let (Some(l), Some(h)) = (low.as_i64(), high.as_i64()) {
-                    tighten(lo, l, false);
-                    tighten(hi, h, true);
-                }
-            }
-            _ => {}
-        }
-    }
-    if let Some(p) = pred {
-        walk(p, time_column, &mut lo, &mut hi);
-    }
-    (lo, hi)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pinot_pql::parse;
-
-    fn bounds(pql: &str) -> (Option<i64>, Option<i64>) {
-        let q = parse(pql).unwrap();
-        filter_time_bounds(q.filter.as_ref(), "day")
-    }
-
-    #[test]
-    fn time_bounds_extraction() {
-        assert_eq!(
-            bounds("SELECT COUNT(*) FROM t WHERE day >= 10"),
-            (Some(10), None)
-        );
-        assert_eq!(
-            bounds("SELECT COUNT(*) FROM t WHERE day > 10"),
-            (Some(11), None)
-        );
-        assert_eq!(
-            bounds("SELECT COUNT(*) FROM t WHERE day >= 10 AND day < 20"),
-            (Some(10), Some(19))
-        );
-        assert_eq!(
-            bounds("SELECT COUNT(*) FROM t WHERE day BETWEEN 5 AND 9 AND x = 1"),
-            (Some(5), Some(9))
-        );
-        assert_eq!(
-            bounds("SELECT COUNT(*) FROM t WHERE day = 7"),
-            (Some(7), Some(7))
-        );
-        // OR gives nothing (conservative).
-        assert_eq!(
-            bounds("SELECT COUNT(*) FROM t WHERE day = 7 OR day = 9"),
-            (None, None)
-        );
-        // Other columns ignored.
-        assert_eq!(bounds("SELECT COUNT(*) FROM t WHERE x = 7"), (None, None));
-        assert_eq!(bounds("SELECT COUNT(*) FROM t"), (None, None));
-        // Multiple constraints tighten.
-        assert_eq!(
-            bounds(
-                "SELECT COUNT(*) FROM t WHERE day >= 3 AND day >= 8 AND day <= 30 AND day <= 12"
-            ),
-            (Some(8), Some(12))
-        );
     }
 }

@@ -216,12 +216,6 @@ impl StreamRegistry {
             .cloned()
             .ok_or_else(|| PinotError::Io(format!("unknown topic {name:?}")))
     }
-
-    pub fn topic_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.topics.read().keys().cloned().collect();
-        names.sort();
-        names
-    }
 }
 
 /// A simple seeking consumer over one partition.
@@ -358,7 +352,6 @@ mod tests {
         assert!(reg.create_topic("a", 3).is_err()); // conflicting
         assert!(reg.create_topic("z", 0).is_err());
         assert!(reg.topic("missing").is_err());
-        assert_eq!(reg.topic_names(), vec!["a".to_string()]);
     }
 
     #[test]

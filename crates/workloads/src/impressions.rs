@@ -68,11 +68,6 @@ impl ImpressionGen {
         ])
     }
 
-    /// Member id for partition-keyed realtime production.
-    pub fn member_of(record: &Record) -> Value {
-        record.values()[0].clone()
-    }
-
     /// Feed-view queries: what has this member already seen?
     pub fn query(&self, rng: &mut impl Rng) -> String {
         let member = self.members.sample(rng) as i64;
